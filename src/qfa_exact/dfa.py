@@ -8,7 +8,7 @@ each one misclassify some promise instance.
 """
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product
 
@@ -30,13 +30,19 @@ class EnumerationBudgetError(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class Dfa:
-    """Table-driven deterministic automaton; delta[state][symbol_index]."""
+    """Table-driven deterministic automaton; delta[state][symbol_index].
+
+    Runs of one symbol follow a cached orbit per (state, symbol), so the
+    cache holds at most num_states * len(alphabet) entries. It is not an
+    init field, so `dataclasses.replace` starts the copy with an empty one.
+    """
 
     num_states: int
     alphabet: tuple[str, ...]
     delta: tuple[tuple[int, ...], ...]
     start: int
     accepting: frozenset[int]
+    _orbits: dict = field(init=False, default_factory=dict, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "alphabet", tuple(self.alphabet))
@@ -52,22 +58,27 @@ class Dfa:
         if not self.accepting <= set(range(self.num_states)):
             raise ValueError("accepting states out of range")
 
-    def _advance(self, state: int, sym_index: int, count: int) -> int:
-        """Apply one symbol `count` times, shortcutting around the cycle the
-        walk inevitably enters; cost is O(num_states) regardless of count."""
+    def _orbit(self, start: int, sym_index: int) -> tuple[list[int], int]:
+        """Walk one symbol from `start` up to the first repeated state and
+        cache the path with the index where its cycle starts."""
         seen = {}
         path = []
-        for step in range(count + 1):
-            if step == count:
-                return state
-            if state in seen:
-                cycle_start = seen[state]
-                cycle_len = step - cycle_start
-                return path[cycle_start + (count - cycle_start) % cycle_len]
-            seen[state] = step
+        state = start
+        while state not in seen:
+            seen[state] = len(path)
             path.append(state)
             state = self.delta[state][sym_index]
-        return state
+        orbit = self._orbits[start, sym_index] = (path, seen[state])
+        return orbit
+
+    def _advance(self, state: int, sym_index: int, count: int) -> int:
+        """Apply one symbol `count` times: index into the tail of the
+        orbit, or reduce around its cycle; O(1) once the orbit is cached."""
+        orbit = self._orbits.get((state, sym_index))
+        path, cycle_start = orbit if orbit is not None else self._orbit(state, sym_index)
+        if count < len(path):
+            return path[count]
+        return path[cycle_start + (count - cycle_start) % (len(path) - cycle_start)]
 
     def final_state_of(self, word) -> int:
         state = self.start

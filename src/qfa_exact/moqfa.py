@@ -64,7 +64,9 @@ class Moqfa:
     exponent n mod D; without it simulation falls back to plain powering.
 
     Machines are immutable; the only internal state is a memo of symbol
-    powers, so concurrent runs at worst recompute an entry.
+    powers, kept only when `angle` bounds its keys, so concurrent runs at
+    worst recompute an entry. The memo is not an init field, so
+    `dataclasses.replace` starts the copy with an empty one.
     """
 
     dim: int
@@ -74,7 +76,7 @@ class Moqfa:
     u_right: np.ndarray
     accepting: frozenset[int]
     angle: AngleSpec | None = None
-    _powers: dict = field(default_factory=dict, repr=False)
+    _powers: dict = field(init=False, default_factory=dict, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "alphabet", tuple(self.alphabet))
@@ -95,10 +97,8 @@ class Moqfa:
             raise ValueError(f"accepting set {set(self.accepting)} out of range")
 
     def _symbol_power(self, sym: str, count: int) -> np.ndarray:
-        if self.angle is not None:
-            count %= self.angle.D
-        if count == 0:
-            return np.eye(self.dim)
+        if self.angle is None:
+            return np.linalg.matrix_power(self.u_sym[sym], count)
         key = (sym, count)
         power = self._powers.get(key)
         if power is None:
@@ -106,16 +106,38 @@ class Moqfa:
             self._powers[key] = power
         return power
 
+    def reduced_runs(self, word) -> tuple[tuple[str, int], ...]:
+        """Run-length pairs of `word` with each count reduced mod `angle.D`
+        and runs that reduce to zero dropped; unchanged without an angle.
+
+        Words with equal reduced runs share a final state, computed by
+        the same floating-point operations.
+        """
+        runs = as_runs(word, self.alphabet)
+        if self.angle is None:
+            return runs
+        D = self.angle.D
+        return tuple([(sym, r) for sym, count in runs if (r := count % D)])
+
     def final_state(self, word) -> np.ndarray:
         """State vector after left-marker, word, right-marker on basis state 0."""
-        state = self.u_left[:, 0].copy()
-        for sym, count in as_runs(word, self.alphabet):
-            state = self._symbol_power(sym, count) @ state
-        return self.u_right @ state
+        return self._evolve(self.reduced_runs(word))
 
     def accept_probability(self, word) -> float:
         """Squared norm of the final state projected on the accepting set."""
-        state = self.final_state(word)
+        return self._measure(self.final_state(word))
+
+    def reduced_probability(self, runs) -> float:
+        """`accept_probability` of every word whose `reduced_runs` are `runs`."""
+        return self._measure(self._evolve(runs))
+
+    def _evolve(self, runs) -> np.ndarray:
+        state = self.u_left[:, 0].copy()
+        for sym, count in runs:
+            state = self._symbol_power(sym, count) @ state
+        return self.u_right @ state
+
+    def _measure(self, state) -> float:
         prob = float(sum(state[i] ** 2 for i in self.accepting))
         return min(max(prob, 0.0), 1.0)
 

@@ -147,17 +147,24 @@ def spec_to_dict(spec) -> dict:
     raise TypeError(f"not a promise spec: {spec!r}")
 
 
+def _int_field(data: dict, name: str) -> int:
+    value = data[name]
+    if type(value) is not int:
+        raise ValueError(f"spec field {name!r} must be an integer, got {value!r}")
+    return value
+
+
 def spec_from_dict(data: dict):
     if not isinstance(data, dict):
         raise ValueError(f"spec object must be a JSON object, got {type(data).__name__}")
     try:
         family = data["family"]
         if family == "A":
-            return UnaryPromiseSpec(data["N"], data["r_yes"], data["r_no"])
+            return UnaryPromiseSpec(*(_int_field(data, name) for name in ("N", "r_yes", "r_no")))
         if family == "B":
-            return BinaryPromiseSpec(data["l"])
+            return BinaryPromiseSpec(_int_field(data, "l"))
         if family == "BN":
-            return BinaryPromiseSpec(data["l"], data["N"])
+            return BinaryPromiseSpec(_int_field(data, "l"), _int_field(data, "N"))
     except KeyError as exc:
         raise ValueError(f"spec object is missing field {exc}") from exc
     raise ValueError(f"unknown family {family!r}")

@@ -70,6 +70,20 @@ class ExactnessReport:
         return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
 
 
+def _witness_probabilities(machine: Moqfa, spec, i_max: int, j_max: int):
+    """Yield (word, label, acceptance probability) for every enumerated
+    promise instance. Each distinct residue class of words (equal
+    `reduced_runs`) is evaluated once per call; the result is the one
+    `accept_probability` gives for every word of the class."""
+    memo = {}
+    for word, label in enumerate_instances(spec, i_max, j_max):
+        key = machine.reduced_runs(word)
+        prob = memo.get(key)
+        if prob is None:
+            prob = memo[key] = machine.reduced_probability(key)
+        yield word, label, prob
+
+
 def verify_exactness(
     machine: Moqfa,
     spec,
@@ -80,14 +94,10 @@ def verify_exactness(
 ) -> ExactnessReport:
     """Run the machine on every enumerated promise instance and record the
     worst acceptance-probability deviation on each side."""
-    witnesses = enumerate_instances(spec, i_max, j_max)
-    if not witnesses:
-        raise ValueError("empty witness set")
     max_yes_deficit = 0.0
     max_no_leak = 0.0
     yes_checked = no_checked = 0
-    for word, label in witnesses:
-        prob = machine.accept_probability(word)
+    for _, label, prob in _witness_probabilities(machine, spec, i_max, j_max):
         if label is Classification.YES:
             yes_checked += 1
             max_yes_deficit = max(max_yes_deficit, abs(1.0 - prob))
@@ -126,8 +136,7 @@ def cross_check(
     """True iff quantum and classical decisions agree on every witness:
     probability within tolerance of 1 exactly when the DFA accepts, and
     within tolerance of 0 exactly when it rejects."""
-    for word, _ in enumerate_instances(spec, i_max, j_max):
-        prob = machine.accept_probability(word)
+    for word, _, prob in _witness_probabilities(machine, spec, i_max, j_max):
         accepted = dfa.accepts(word)
         if (prob >= 1.0 - tolerance) != accepted:
             return False

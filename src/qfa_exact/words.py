@@ -13,6 +13,7 @@ repeated symbols never need to be materialized.
 """
 
 from itertools import groupby
+from operator import index
 
 
 def as_runs(word, alphabet) -> tuple[tuple[str, int], ...]:
@@ -20,8 +21,11 @@ def as_runs(word, alphabet) -> tuple[tuple[str, int], ...]:
 
     Adjacent runs of the same symbol are merged and zero-count runs are
     dropped. Raises ValueError for symbols outside `alphabet`, negative
-    counts, or an int word on a multi-symbol alphabet.
+    or non-integer counts (bools included), a bool word, or an int word
+    on a multi-symbol alphabet.
     """
+    if isinstance(word, bool):
+        raise ValueError(f"a bool is not a word: {word!r}")
     if isinstance(word, int):
         if word < 0:
             raise ValueError(f"negative word length {word}")
@@ -33,9 +37,11 @@ def as_runs(word, alphabet) -> tuple[tuple[str, int], ...]:
     if isinstance(word, str):
         pairs = [(sym, sum(1 for _ in grp)) for sym, grp in groupby(word)]
     else:
-        pairs = [(sym, int(count)) for sym, count in word]
+        pairs = word
     runs = []
     for sym, count in pairs:
+        if type(count) is not int:
+            count = _count(count)
         if sym not in alphabet:
             raise ValueError(f"symbol {sym!r} not in alphabet {alphabet}")
         if count < 0:
@@ -47,6 +53,16 @@ def as_runs(word, alphabet) -> tuple[tuple[str, int], ...]:
         else:
             runs.append((sym, count))
     return tuple(runs)
+
+
+def _count(count) -> int:
+    """A run count that is not exactly an int, as an int if it is integral."""
+    if isinstance(count, bool):
+        raise ValueError(f"run count must be an integer, got {count!r}")
+    try:
+        return index(count)
+    except TypeError:
+        raise ValueError(f"run count must be an integer, got {count!r}") from None
 
 
 def materialize(word) -> str:

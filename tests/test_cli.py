@@ -188,3 +188,22 @@ def test_table_respects_thread_env(tmp_path, capsys, monkeypatch):
 def test_table_missing_specs_file(capsys, tmp_path):
     code, _, err = run_cli(capsys, "table", "--specs", str(tmp_path / "nope.json"))
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        {"family": "A", "N": 7.5, "r_yes": 0, "r_no": 3},
+        {"family": "A", "N": "7", "r_yes": 0, "r_no": 3},
+        {"family": "B", "l": True},
+        {"family": "BN", "N": 15, "l": 5.0},
+    ],
+)
+def test_table_rejects_non_integer_spec_fields(tmp_path, capsys, spec):
+    spec_path = tmp_path / "specs.json"
+    spec_path.write_text(json.dumps([spec]))
+    code, out, err = run_cli(capsys, "table", "--specs", str(spec_path), "--budget", "0")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err

@@ -1,3 +1,6 @@
+import random
+from dataclasses import replace
+
 import pytest
 
 from qfa_exact import (
@@ -18,7 +21,7 @@ from qfa_exact import (
 )
 
 
-def naive_accepts(dfa, word):
+def naive_final_state(dfa, word):
     """Symbol-at-a-time oracle for the cycle-shortcutting run method."""
     if isinstance(word, int):
         word = dfa.alphabet[0] * word
@@ -27,7 +30,11 @@ def naive_accepts(dfa, word):
     state = dfa.start
     for sym in word:
         state = dfa.delta[state][dfa.alphabet.index(sym)]
-    return state in dfa.accepting
+    return state
+
+
+def naive_accepts(dfa, word):
+    return naive_final_state(dfa, word) in dfa.accepting
 
 
 def brute_smallest_modulus(N, l):
@@ -74,6 +81,34 @@ def test_tail_plus_cycle_shortcut_at_huge_length():
     assert dfa.final_state_of(10**9) == 2
     assert dfa.final_state_of(10**9 + 1) == 3
     assert dfa.final_state_of(1) == 1
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_cached_orbits_match_naive_oracle_on_random_tails(seed):
+    # one instance answers many words, so later words reuse orbits the
+    # earlier ones cached, from every state the walks pass through
+    rng = random.Random(seed)
+    m = rng.randint(1, 7)
+    alphabet = ("a", "b")[: rng.randint(1, 2)]
+    delta = tuple(tuple(rng.randrange(m) for _ in alphabet) for _ in range(m))
+    dfa = Dfa(m, alphabet, delta, rng.randrange(m), frozenset({0}))
+    counts = range(3 * m + 3)  # below, at and beyond every tail + cycle
+    for _ in range(2):
+        if len(alphabet) == 1:
+            for n in counts:
+                assert dfa.final_state_of(n) == naive_final_state(dfa, n), (dfa, n)
+        for _ in range(40):
+            word = tuple((rng.choice(alphabet), rng.choice(counts)) for _ in range(3))
+            assert dfa.final_state_of(word) == naive_final_state(dfa, word), (dfa, word)
+    assert len(dfa._orbits) <= m * len(alphabet)
+
+
+def test_replace_starts_with_an_empty_orbit_cache():
+    dfa = Dfa(3, ("a",), ((1,), (2,), (0,)), 0, frozenset({0}))
+    assert dfa.accepts(3)
+    shifted = replace(dfa, delta=((1,), (1,), (0,)))
+    assert shifted._orbits == {}
+    assert shifted.final_state_of(3) == naive_final_state(shifted, 3) == 1
 
 
 def test_run_dfa_rejects_unknown_symbols():

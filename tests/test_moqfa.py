@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -201,3 +202,38 @@ def test_moqfa_construction_validation():
     with pytest.raises(ValueError):
         Moqfa(dim=2, alphabet=("a",), u_left=np.eye(2), u_sym={"a": np.eye(2)},
               u_right=np.eye(2), accepting={0, 5})
+
+
+def test_replace_starts_with_an_empty_power_memo():
+    other_sym = build_unary(7, 1).u_sym
+    fresh = replace(build_unary(7, 3), u_sym=other_sym).accept_probability(2)
+    machine = build_unary(7, 3)
+    machine.accept_probability(2)
+    swapped = replace(machine, u_sym=other_sym)
+    assert swapped._powers == {}
+    assert swapped.accept_probability(2) == fresh
+    assert fresh < 1e-12  # a stale copied memo gave 0.127 here
+
+
+def test_power_memo_only_for_machines_with_an_angle():
+    base = build_unary(7, 3)
+    raw = Moqfa.from_dict({**base.to_dict(), "angle": None})
+    for n in range(1, 200):
+        raw.accept_probability(n)
+        base.accept_probability(n)
+    assert raw._powers == {}
+    assert len(base._powers) == 6  # one entry per nonzero residue mod 7
+
+
+def test_reduced_runs_drop_whole_periods():
+    machine = build_binary_Nl(5, 2)
+    D = machine.angle.D
+    assert machine.reduced_runs((("a", D), ("b", 2 * D + 3))) == (("b", 3),)
+    assert machine.reduced_runs("") == ()
+    raw = Moqfa.from_dict({**machine.to_dict(), "angle": None})
+    assert raw.reduced_runs((("a", D), ("b", 3))) == (("a", D), ("b", 3))
+
+
+def test_bool_words_are_rejected():
+    with pytest.raises(ValueError):
+        build_unary(7, 3).accept_probability(True)

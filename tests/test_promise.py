@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from qfa_exact import (
@@ -178,3 +179,35 @@ def test_materialize_and_length():
     assert word_length((("a", 2), ("b", 6))) == 8
     assert word_length("abab") == 4
     assert word_length(10**9) == 10**9
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"family": "A", "N": 7.5, "r_yes": 0, "r_no": 3},
+        {"family": "A", "N": "7", "r_yes": 0, "r_no": 3},
+        {"family": "A", "N": 7, "r_yes": False, "r_no": 3},
+        {"family": "B", "l": 4.0},
+        {"family": "B", "l": True},
+        {"family": "BN", "N": 15, "l": None},
+        {"family": "BN", "N": [15], "l": 5},
+    ],
+)
+def test_spec_from_dict_rejects_non_integer_fields(data):
+    with pytest.raises(ValueError):
+        spec_from_dict(data)
+
+
+def test_as_runs_rejects_bools_and_non_integer_counts():
+    with pytest.raises(ValueError):
+        as_runs(True, ("a",))
+    with pytest.raises(ValueError):
+        as_runs(False, ("a",))
+    for count in (2.7, 2.0, "2", None, True):
+        with pytest.raises(ValueError):
+            as_runs([("a", count)], ("a",))
+
+
+def test_as_runs_accepts_integral_count_types():
+    assert as_runs([("a", np.int64(3)), ("b", 2)], ("a", "b")) == (("a", 3), ("b", 2))
+    assert type(as_runs([("a", np.int64(3))], ("a",))[0][1]) is int

@@ -1,16 +1,22 @@
 import io
+from dataclasses import replace
 
 import pytest
 
 from qfa_exact import (
     BinaryPromiseSpec,
+    Classification,
+    ExactnessReport,
+    Moqfa,
     UnaryPromiseSpec,
     build_binary_Nl,
     build_binary_l,
     build_binary_min_dfa,
     build_unary,
+    build_unary_general,
     build_unary_min_dfa,
     cross_check,
+    enumerate_instances,
     separation_row,
     separation_table,
     verify_exactness,
@@ -136,3 +142,71 @@ def test_csv_emission_format():
     assert lines[1] == "A,7,3,0,3,3,7,true"
     assert lines[2] == "B,,12,,,2,5,false"
     assert lines[3] == "BN,5,2,,,3,5,false"
+
+
+def reference_report(machine, spec, i_max, j_max, tolerance=1e-9):
+    """Per-word oracle: one accept_probability call for every witness."""
+    yes = no = 0
+    deficit = leak = 0.0
+    for word, label in enumerate_instances(spec, i_max, j_max):
+        prob = machine.accept_probability(word)
+        if label is Classification.YES:
+            yes += 1
+            deficit = max(deficit, abs(1.0 - prob))
+        else:
+            no += 1
+            leak = max(leak, prob)
+    return ExactnessReport(
+        spec=spec,
+        machine_states=machine.dim,
+        yes_checked=yes,
+        no_checked=no,
+        max_yes_deficit=deficit,
+        max_no_leak=leak,
+        passed=yes > 0 and no > 0 and deficit <= tolerance and leak <= tolerance,
+        tolerance=tolerance,
+        i_max=i_max,
+        j_max=j_max,
+    )
+
+
+def _without_angle(machine):
+    return Moqfa.from_dict({**machine.to_dict(), "angle": None})
+
+
+@pytest.mark.parametrize(
+    "machine,spec",
+    [
+        (build_unary(7, 3), UnaryPromiseSpec(7, 0, 3)),
+        (build_unary(7, 3), UnaryPromiseSpec(7, 0, 2)),  # fails: leaks
+        (build_unary(12, 5), UnaryPromiseSpec(12, 0, 5)),
+        (build_unary_general(9, 2, 7), UnaryPromiseSpec(9, 2, 7)),
+        (build_unary_general(16, 11, 3), UnaryPromiseSpec(16, 11, 3)),
+        (build_binary_l(4), BinaryPromiseSpec(4)),
+        (build_binary_l(3), BinaryPromiseSpec(5)),  # fails
+        (build_binary_Nl(5, 2), BinaryPromiseSpec(2, 5)),
+        (build_binary_Nl(12, 7), BinaryPromiseSpec(7, 12)),
+        (_without_angle(build_unary(7, 3)), UnaryPromiseSpec(7, 0, 3)),
+        (_without_angle(build_binary_Nl(5, 2)), BinaryPromiseSpec(2, 5)),
+    ],
+)
+def test_verify_exactness_equals_per_word_evaluation(machine, spec):
+    for i_max, j_max in ((0, 0), (20, 3), (64, 8)):
+        assert verify_exactness(machine, spec, i_max, j_max) == reference_report(
+            machine, spec, i_max, j_max
+        )
+
+
+def test_cross_check_rejects_a_wrong_accepting_set():
+    spec = BinaryPromiseSpec(2, 5)
+    machine = build_binary_Nl(5, 2)
+    dfa = build_binary_min_dfa(5)
+    assert cross_check(machine, dfa, spec)
+    assert not cross_check(machine, replace(dfa, accepting=frozenset({1})), spec)
+    assert not cross_check(machine, replace(dfa, accepting=frozenset({0, 3})), spec)
+    # no witness ends in state 2, so accepting it changes no decision
+    assert cross_check(machine, replace(dfa, accepting=frozenset({0, 2})), spec)
+    unary = build_unary_min_dfa(15, 5)
+    assert not cross_check(
+        build_unary(15, 5), replace(unary, accepting=frozenset({1})), UnaryPromiseSpec(15, 0, 5)
+    )
