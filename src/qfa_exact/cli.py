@@ -11,7 +11,6 @@ size formulas - investigate loudly), 5 enumeration budget exceeded.
 
 import argparse
 import json
-import os
 import sys
 
 from . import synth
@@ -186,15 +185,11 @@ def cmd_table(args):
     if not isinstance(raw, list):
         raise ValueError("spec file must hold a JSON array of spec objects")
     specs = [spec_from_dict(item) for item in raw]
-    threads = int(os.environ.get("QFA_EXACT_THREADS", "1"))
-    if threads < 1:
-        raise ValueError("QFA_EXACT_THREADS must be a positive integer")
     rows = separation_table(
         specs,
         i_max=args.i_max,
         j_max=args.j_max,
         certify_budget=args.budget,
-        threads=threads,
     )
     if args.output:
         with open(args.output, "w", encoding="utf-8", newline="") as handle:

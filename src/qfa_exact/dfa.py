@@ -28,6 +28,15 @@ class EnumerationBudgetError(RuntimeError):
     """Raised when a certificate search would exceed its machine budget."""
 
 
+def _orbit_index(count: int, length: int, cycle_start: int) -> int:
+    """Position after `count` steps along a path of `length` states whose
+    entries from `cycle_start` on repeat forever: the count itself inside
+    the path, reduced around the cycle beyond it."""
+    if count < length:
+        return count
+    return cycle_start + (count - cycle_start) % (length - cycle_start)
+
+
 @dataclass(frozen=True, eq=False)
 class Dfa:
     """Table-driven deterministic automaton; delta[state][symbol_index].
@@ -76,9 +85,7 @@ class Dfa:
         orbit, or reduce around its cycle; O(1) once the orbit is cached."""
         orbit = self._orbits.get((state, sym_index))
         path, cycle_start = orbit if orbit is not None else self._orbit(state, sym_index)
-        if count < len(path):
-            return path[count]
-        return path[cycle_start + (count - cycle_start) % (len(path) - cycle_start)]
+        return path[_orbit_index(count, len(path), cycle_start)]
 
     def final_state_of(self, word) -> int:
         state = self.start
@@ -237,9 +244,66 @@ class MinimalityCertificate:
         }
 
 
-def _unary_tail_cycle_dfa(m: int, tail: int, accepting) -> Dfa:
-    delta = tuple(((i + 1,) if i < m - 1 else (tail,)) for i in range(m))
-    return Dfa(num_states=m, alphabet=("a",), delta=delta, start=0, accepting=accepting)
+def _check_budget(total: int, budget: int, d: int) -> None:
+    if total > budget:
+        raise EnumerationBudgetError(
+            f"{total} candidate machines exceed budget {budget} for d={d}"
+        )
+
+
+def _letter_counts(runs) -> tuple[int, int]:
+    counts = dict(runs)
+    return counts.get("a", 0), counts.get("b", 0)
+
+
+def _accepting_mask(ends) -> int | None:
+    """Fold (final state, is_yes) pairs into the yes-state mask, or None
+    as soon as some state ends both a yes- and a no-witness.
+
+    A subset classifies every witness iff it holds each yes-state and no
+    no-state, so the first one to work in the order 0, 1, ... is the
+    yes-state mask itself, and none works once the masks meet.
+    """
+    yes_mask = no_mask = 0
+    for state, is_yes in ends:
+        if is_yes:
+            yes_mask |= 1 << state
+        else:
+            no_mask |= 1 << state
+        if yes_mask & no_mask:
+            return None
+    return yes_mask
+
+
+def _search(spec, claimed_d, witness_bounds, alphabet, candidates, words) -> MinimalityCertificate:
+    """Resolve every accepting subset of each (delta, start, ends)
+    candidate in closed form; the count is the one that trying subsets
+    one by one would reach. `ends` may be lazy: each is used up before
+    the next candidate is drawn."""
+    checked = 0
+    for delta, start, ends in candidates:
+        m = len(delta)
+        mask = _accepting_mask(ends)
+        if mask is None:
+            checked += 2**m
+            continue
+        checked += mask + 1
+        return MinimalityCertificate(
+            spec=spec,
+            claimed_d=claimed_d,
+            witness_bounds=witness_bounds,
+            machines_checked=checked,
+            certified=False,
+            counterexample=Dfa(m, alphabet, delta, start, frozenset(i for i in range(m) if mask >> i & 1)),
+            counterexample_words=words,
+        )
+    return MinimalityCertificate(
+        spec=spec,
+        claimed_d=claimed_d,
+        witness_bounds=witness_bounds,
+        machines_checked=checked,
+        certified=True,
+    )
 
 
 def certify_minimality_unary(
@@ -255,11 +319,12 @@ def certify_minimality_unary(
     cycle of t states, so machines are enumerated as (k, t) splits of
     each size m < d together with every accepting subset. The default
     i_max = 2d + 2 walks past any tail and around any cycle at least
-    once. The accept-subset loop is resolved in closed form per (k, t):
-    a subset works iff it contains every yes-witness state and no
-    no-witness state, and the first such subset in enumeration order is
-    the union of the yes-witness states; the reported machine count is
-    identical to checking subsets one by one.
+    once. The accepting subsets of each split are resolved in closed
+    form: a subset works iff it holds every yes-witness state and no
+    no-witness state, so the first one in enumeration order is the
+    union of the yes-witness states, and none works when a state ends
+    both kinds. The reported machine count is identical to checking
+    subsets one by one.
     """
     d = smallest_modulus(N, l)
     if i_max is None:
@@ -267,50 +332,18 @@ def certify_minimality_unary(
     if i_max < 0:
         raise ValueError("witness bound must be nonnegative")
     spec = UnaryPromiseSpec(N, 0, l)
-    total = sum(m * 2**m for m in range(1, d))
-    if total > budget:
-        raise EnumerationBudgetError(
-            f"{total} candidate machines exceed budget {budget} for d={d}"
-        )
-    yes_lengths = [i * N for i in range(i_max + 1)]
-    no_lengths = [i * N + l for i in range(i_max + 1)]
-    checked = 0
-    for m in range(1, d):
-        for tail in range(m):
-            cycle = m - tail
+    _check_budget(sum(m * 2**m for m in range(1, d)), budget, d)
+    witnesses = [(i * N + r, r == 0) for i in range(i_max + 1) for r in (0, l)]
 
-            def state_after(n):
-                return n if n < tail else tail + (n - tail) % cycle
+    def candidates():
+        # state i steps to i + 1 and the last one back to state `tail`,
+        # so the walk from 0 is the path range(m) cycling from `tail`
+        for m in range(1, d):
+            for tail in range(m):
+                delta = tuple((i + 1,) for i in range(m - 1)) + ((tail,),)
+                yield delta, 0, ((_orbit_index(n, m, tail), is_yes) for n, is_yes in witnesses)
 
-            yes_mask = 0
-            for n in yes_lengths:
-                yes_mask |= 1 << state_after(n)
-            no_mask = 0
-            for n in no_lengths:
-                no_mask |= 1 << state_after(n)
-            if yes_mask & no_mask:
-                checked += 2**m
-                continue
-            # subsets scan in order 0, 1, ...; the first workable one is
-            # yes_mask itself, after yes_mask failing candidates
-            checked += yes_mask + 1
-            accepting = frozenset(i for i in range(m) if yes_mask >> i & 1)
-            return MinimalityCertificate(
-                spec=spec,
-                claimed_d=d,
-                witness_bounds=(i_max, None),
-                machines_checked=checked,
-                certified=False,
-                counterexample=_unary_tail_cycle_dfa(m, tail, accepting),
-                counterexample_words=(yes_lengths[0], no_lengths[0]),
-            )
-    return MinimalityCertificate(
-        spec=spec,
-        claimed_d=d,
-        witness_bounds=(i_max, None),
-        machines_checked=checked,
-        certified=True,
-    )
+    return _search(spec, d, (i_max, None), ("a",), candidates(), (0, l))
 
 
 def _binary_candidate_count(d: int) -> int:
@@ -325,7 +358,14 @@ def certify_minimality_binary(
 ) -> MinimalityCertificate:
     """Certify the binary size formulas by full enumeration: every
     transition table, start state, and accepting subset with fewer than
-    d states is run on the witnesses from enumerate_instances.
+    d states is judged on the witnesses from enumerate_instances.
+
+    One `Dfa` per transition table serves all of its start states from
+    its orbit cache. The accepting subsets of each (table, start) are
+    resolved in closed form as in `certify_minimality_unary`: the first
+    that works is the union of the yes-witness states, unless a state
+    ends both a yes- and a no-witness. The reported machine count is
+    identical to checking subsets one by one.
 
     Candidate counts explode as m^(2m); the default budget admits d <= 4
     and anything larger raises EnumerationBudgetError up front.
@@ -334,74 +374,23 @@ def certify_minimality_binary(
         d = smallest_nondivisor(spec.l)
     else:
         d = smallest_modulus(spec.N, spec.l)
-    total = _binary_candidate_count(d)
-    if total > budget:
-        raise EnumerationBudgetError(
-            f"{total} candidate machines exceed budget {budget} for d={d}"
-        )
-    witnesses = [
-        (tuple(dict(word).get(sym, 0) for sym in ("a", "b")), label is Classification.YES)
-        for word, label in enumerate_instances(spec, i_max, j_max)
-    ]
-    checked = 0
-    for m in range(1, d):
-        for flat in product(range(m), repeat=2 * m):
-            delta = tuple((flat[2 * i], flat[2 * i + 1]) for i in range(m))
-            for start in range(m):
-                for acc_mask in range(2**m):
-                    checked += 1
-                    if _solves_all(delta, start, acc_mask, witnesses):
-                        dfa = Dfa(
-                            num_states=m,
-                            alphabet=("a", "b"),
-                            delta=delta,
-                            start=start,
-                            accepting=frozenset(i for i in range(m) if acc_mask >> i & 1),
-                        )
-                        yes_word, no_word = None, None
-                        for word, label in enumerate_instances(spec, i_max, j_max):
-                            if label is Classification.YES and yes_word is None:
-                                yes_word = word
-                            if label is Classification.NO and no_word is None:
-                                no_word = word
-                        return MinimalityCertificate(
-                            spec=spec,
-                            claimed_d=d,
-                            witness_bounds=(i_max, j_max),
-                            machines_checked=checked,
-                            certified=False,
-                            counterexample=dfa,
-                            counterexample_words=(yes_word, no_word),
-                        )
-    return MinimalityCertificate(
-        spec=spec,
-        claimed_d=d,
-        witness_bounds=(i_max, j_max),
-        machines_checked=checked,
-        certified=True,
+    _check_budget(_binary_candidate_count(d), budget, d)
+    instances = enumerate_instances(spec, i_max, j_max)
+    witnesses = [(_letter_counts(word), label is Classification.YES) for word, label in instances]
+    words = tuple(
+        next(word for word, label in instances if label is kind)
+        for kind in (Classification.YES, Classification.NO)
     )
 
+    def candidates():
+        for m in range(1, d):
+            for flat in product(range(m), repeat=2 * m):
+                dfa = Dfa(m, ("a", "b"), zip(flat[::2], flat[1::2]), 0, ())
+                advance = dfa._advance
+                for start in range(m):
+                    yield dfa.delta, start, (
+                        (advance(advance(start, 0, n_a), 1, n_b), is_yes)
+                        for (n_a, n_b), is_yes in witnesses
+                    )
 
-def _step_many(delta, sym_index, state, count):
-    seen = {}
-    path = []
-    step = 0
-    while step < count:
-        if state in seen:
-            cycle_start = seen[state]
-            cycle_len = step - cycle_start
-            return path[cycle_start + (count - cycle_start) % cycle_len]
-        seen[state] = step
-        path.append(state)
-        state = delta[state][sym_index]
-        step += 1
-    return state
-
-
-def _solves_all(delta, start, acc_mask, witnesses):
-    for (n_a, n_b), is_yes in witnesses:
-        state = _step_many(delta, 0, start, n_a)
-        state = _step_many(delta, 1, state, n_b)
-        if bool(acc_mask >> state & 1) != is_yes:
-            return False
-    return True
+    return _search(spec, d, (i_max, j_max), ("a", "b"), candidates(), words)

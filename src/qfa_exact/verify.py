@@ -200,17 +200,11 @@ def separation_table(
     certify_budget: int | None = DEFAULT_ENUMERATION_BUDGET,
     threads: int = 1,
 ) -> list[SeparationRow]:
-    """One row per spec, in input order regardless of worker scheduling."""
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
+    """One row per spec, in input order.
 
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(
-                pool.map(
-                    lambda spec: separation_row(spec, i_max, j_max, certify_budget),
-                    specs,
-                )
-            )
+    `threads` is accepted and ignored: the rows are GIL-bound pure Python,
+    and worker threads measured slower than one.
+    """
     return [separation_row(spec, i_max, j_max, certify_budget) for spec in specs]
 
 

@@ -19,10 +19,12 @@ from operator import index
 def as_runs(word, alphabet) -> tuple[tuple[str, int], ...]:
     """Normalize `word` to run-length pairs over `alphabet`.
 
+    Any non-bool integer type (a numpy integer, say) counts as a length.
     Adjacent runs of the same symbol are merged and zero-count runs are
     dropped. Raises ValueError for symbols outside `alphabet`, negative
-    or non-integer counts (bools included), a bool word, or an int word
-    on a multi-symbol alphabet.
+    or non-integer counts (bools included), a bool word, an int word
+    on a multi-symbol alphabet, or a word that is neither an integer, a
+    str nor iterable.
     """
     if isinstance(word, bool):
         raise ValueError(f"a bool is not a word: {word!r}")
@@ -36,8 +38,15 @@ def as_runs(word, alphabet) -> tuple[tuple[str, int], ...]:
         return ((alphabet[0], word),) if word else ()
     if isinstance(word, str):
         pairs = [(sym, sum(1 for _ in grp)) for sym, grp in groupby(word)]
-    else:
+    elif isinstance(word, tuple):
         pairs = word
+    elif hasattr(word, "__index__"):
+        return as_runs(index(word), alphabet)
+    else:
+        try:
+            pairs = iter(word)
+        except TypeError:
+            raise ValueError(f"not a word: {word!r}") from None
     runs = []
     for sym, count in pairs:
         if type(count) is not int:

@@ -174,15 +174,17 @@ def test_table_outputs_are_byte_identical(tmp_path, capsys):
 
 
 def test_table_respects_thread_env(tmp_path, capsys, monkeypatch):
+    # QFA_EXACT_THREADS is not read: every value, "0" included, gives
+    # the bytes of a run without it
     spec_path = tmp_path / "specs.json"
     spec_path.write_text(json.dumps([{"family": "A", "N": n, "r_yes": 0, "r_no": 1} for n in (3, 5, 7)]))
-    monkeypatch.setenv("QFA_EXACT_THREADS", "3")
-    code, out, _ = run_cli(capsys, "table", "--specs", str(spec_path), "--budget", "0")
+    monkeypatch.delenv("QFA_EXACT_THREADS", raising=False)
+    code, unset, _ = run_cli(capsys, "table", "--specs", str(spec_path))
     assert code == 0
-    assert [line.split(",")[6] for line in out.strip().splitlines()[1:]] == ["3", "5", "7"]
-    monkeypatch.setenv("QFA_EXACT_THREADS", "0")
-    code, _, err = run_cli(capsys, "table", "--specs", str(spec_path))
-    assert code == 2
+    assert [line.split(",")[6] for line in unset.strip().splitlines()[1:]] == ["3", "5", "7"]
+    for value in ("3", "0"):
+        monkeypatch.setenv("QFA_EXACT_THREADS", value)
+        assert run_cli(capsys, "table", "--specs", str(spec_path)) == (0, unset, "")
 
 
 def test_table_missing_specs_file(capsys, tmp_path):

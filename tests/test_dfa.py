@@ -1,5 +1,6 @@
 import random
 from dataclasses import replace
+from itertools import product
 
 import pytest
 
@@ -222,7 +223,8 @@ def test_binary_min_dfa_solves_both_families():
 
 def literal_certify_unary(N, l, i_max):
     """Oracle for the certificate search: build every tail+cycle DFA as a
-    real object and run every witness through it."""
+    real object and run every witness through it. Returns the machine
+    count and the first machine that survives, if any."""
     d = smallest_modulus(N, l)
     checked = 0
     for m in range(1, d):
@@ -234,16 +236,22 @@ def literal_certify_unary(N, l, i_max):
                 if all(dfa.accepts(i * N) for i in range(i_max + 1)) and not any(
                     dfa.accepts(i * N + l) for i in range(i_max + 1)
                 ):
-                    return checked, False
-    return checked, True
+                    return checked, dfa
+    return checked, None
 
 
 @pytest.mark.parametrize("N,l", [(6, 3), (15, 5), (7, 3), (12, 9)])
 def test_certify_unary_matches_literal_enumeration(N, l):
-    cert = certify_minimality_unary(N, l)
-    checked, certified = literal_certify_unary(N, l, cert.witness_bounds[0])
-    assert cert.certified == certified
-    assert cert.machines_checked == checked
+    # the default bound certifies; the weak ones let small machines through
+    for i_max in (None, 0, 1, 2):
+        cert = certify_minimality_unary(N, l, i_max)
+        checked, survivor = literal_certify_unary(N, l, cert.witness_bounds[0])
+        assert cert.machines_checked == checked, i_max
+        assert cert.certified == (survivor is None), i_max
+        if survivor is not None:
+            assert cert.counterexample.to_dict() == survivor.to_dict()
+            assert cert.counterexample_words == (0, l)
+    assert certify_minimality_unary(N, l).certified
 
 
 def test_certify_unary_examples():
@@ -289,6 +297,66 @@ def test_certify_binary_modular_family():
     assert cert.certified and cert.claimed_d == 2
     cert = certify_minimality_binary(BinaryPromiseSpec(2, 4), i_max=16, j_max=4)
     assert cert.certified and cert.claimed_d == 4
+
+
+def literal_certify_binary(spec, i_max, j_max):
+    """Oracle for the binary certificate search: build every DFA below
+    the claimed size, try accepting subsets one by one and run every
+    witness symbol by symbol. Returns the machine count, the first
+    machine that survives (if any) and the first yes- and no-words."""
+    d = smallest_nondivisor(spec.l) if spec.N is None else smallest_modulus(spec.N, spec.l)
+    instances = enumerate_instances(spec, i_max, j_max)
+    words = (
+        next(word for word, label in instances if label is Classification.YES),
+        next(word for word, label in instances if label is Classification.NO),
+    )
+    checked = 0
+    for m in range(1, d):
+        for flat in product(range(m), repeat=2 * m):
+            delta = tuple((flat[2 * i], flat[2 * i + 1]) for i in range(m))
+            for start in range(m):
+                for mask in range(2**m):
+                    checked += 1
+                    dfa = Dfa(m, ("a", "b"), delta, start, frozenset(i for i in range(m) if mask >> i & 1))
+                    if all(
+                        naive_accepts(dfa, word) == (label is Classification.YES)
+                        for word, label in instances
+                    ):
+                        return checked, dfa, words
+    return checked, None, words
+
+
+@pytest.mark.parametrize(
+    "spec", [BinaryPromiseSpec(2), BinaryPromiseSpec(4), BinaryPromiseSpec(2, 4), BinaryPromiseSpec(1, 2)]
+)
+@pytest.mark.parametrize("i_max,j_max", [(0, 0), (1, 0), (2, 1)])
+def test_certify_binary_matches_literal_enumeration(spec, i_max, j_max):
+    cert = certify_minimality_binary(spec, i_max, j_max)
+    checked, survivor, words = literal_certify_binary(spec, i_max, j_max)
+    assert cert.machines_checked == checked
+    assert cert.certified == (survivor is None)
+    if survivor is None:
+        assert cert.counterexample is None and cert.counterexample_words is None
+    else:
+        assert cert.counterexample.to_dict() == survivor.to_dict()
+        assert cert.counterexample_words == words
+
+
+def test_certify_binary_counterexamples_under_weak_witnesses():
+    cert = certify_minimality_binary(BinaryPromiseSpec(4), 0, 0)
+    assert not cert.certified and cert.machines_checked == 9
+    assert cert.counterexample_words == ((), (("b", 4),))
+    assert cert.counterexample.accepts("") and not cert.counterexample.accepts("bbbb")
+    cert = certify_minimality_binary(BinaryPromiseSpec(2, 4), 1, 0)
+    assert not cert.certified and cert.machines_checked == 321
+
+
+def test_certify_binary_d5_within_a_raised_budget():
+    # l=2, N=5 needs 5 states, so every DFA with 1-4 states is tried:
+    # 4 211 930 with their start states and accepting subsets
+    cert = certify_minimality_binary(BinaryPromiseSpec(2, 5), budget=5 * 10**6)
+    assert cert.certified and cert.claimed_d == 5
+    assert cert.machines_checked == 4_211_930
 
 
 def test_certify_binary_budget_error():

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from qfa_exact import AngleSpec, Moqfa, build_binary_Nl, build_binary_l, build_unary
+from qfa_exact import AngleSpec, Moqfa, build_binary_Nl, build_binary_l, build_unary, build_unary_min_dfa
 
 
 def naive_final_state(machine, word):
@@ -237,3 +237,15 @@ def test_reduced_runs_drop_whole_periods():
 def test_bool_words_are_rejected():
     with pytest.raises(ValueError):
         build_unary(7, 3).accept_probability(True)
+
+
+def test_numpy_integer_words_are_lengths_and_other_scalars_fail_cleanly():
+    machine = build_unary(7, 3)
+    dfa = build_unary_min_dfa(7, 3)
+    assert machine.accept_probability(np.int64(14)) == machine.accept_probability(14)
+    assert dfa.accepts(np.int64(14)) and not dfa.accepts(np.int64(17))
+    for word in (3.0, None, np.bool_(False)):
+        with pytest.raises(ValueError):
+            machine.accept_probability(word)
+        with pytest.raises(ValueError):
+            dfa.accepts(word)

@@ -163,6 +163,7 @@ def test_as_runs_forms():
     assert as_runs(5, ("a",)) == (("a", 5),)
     assert as_runs(0, ("a",)) == ()
     assert as_runs([("a", 2), ("a", 1), ("b", 0)], ("a", "b")) == (("a", 3),)
+    assert as_runs(iter([("a", 2), ("b", 1)]), ("a", "b")) == (("a", 2), ("b", 1))
     with pytest.raises(ValueError):
         as_runs("abc", ("a", "b"))
     with pytest.raises(ValueError):
@@ -211,3 +212,20 @@ def test_as_runs_rejects_bools_and_non_integer_counts():
 def test_as_runs_accepts_integral_count_types():
     assert as_runs([("a", np.int64(3)), ("b", 2)], ("a", "b")) == (("a", 3), ("b", 2))
     assert type(as_runs([("a", np.int64(3))], ("a",))[0][1]) is int
+
+
+def test_as_runs_takes_integer_types_as_lengths():
+    for word in (np.int64(14), np.uint8(14), np.int32(14)):
+        assert as_runs(word, ("a",)) == (("a", 14),)
+        assert type(as_runs(word, ("a",))[0][1]) is int
+    assert as_runs(np.int64(0), ("a",)) == ()
+    with pytest.raises(ValueError):
+        as_runs(np.int64(-1), ("a",))
+    with pytest.raises(ValueError):
+        as_runs(np.int64(3), ("a", "b"))
+
+
+@pytest.mark.parametrize("word", [3.0, None, np.bool_(True), np.float64(3.0), object()])
+def test_as_runs_rejects_words_that_are_no_length_str_or_runs(word):
+    with pytest.raises(ValueError):
+        as_runs(word, ("a",))
