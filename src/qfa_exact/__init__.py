@@ -1,6 +1,12 @@
 """Exact measure-once quantum finite automata for modular promise
 problems, their minimal classical counterparts, and the verification
-harness that pins the quantum-vs-classical state-count separation."""
+harness that pins the quantum-vs-classical state-count separation.
+
+The numpy-backed modules (`moqfa`, `synth`) load on first use of one of
+their names, so the classical side (`promise`, `dfa`, `verify`) imports
+without numpy."""
+
+import importlib
 
 from .dfa import (
     Dfa,
@@ -15,7 +21,6 @@ from .dfa import (
     smallest_modulus_alt,
     smallest_nondivisor,
 )
-from .moqfa import AngleSpec, Moqfa
 from .promise import (
     BinaryPromiseSpec,
     Classification,
@@ -25,16 +30,6 @@ from .promise import (
     enumerate_instances,
     spec_from_dict,
     spec_to_dict,
-)
-from .synth import (
-    AngleSelection,
-    LiftParameters,
-    build_binary_Nl,
-    build_binary_l,
-    build_unary,
-    build_unary_general,
-    lift_parameters,
-    select_angle,
 )
 from .verify import (
     ExactnessReport,
@@ -86,3 +81,31 @@ __all__ = [
     "verify_exactness",
     "write_separation_csv",
 ]
+
+# name -> submodule that defines it, loaded by the first lookup
+_LAZY = {
+    "AngleSpec": "moqfa",
+    "Moqfa": "moqfa",
+    "AngleSelection": "synth",
+    "LiftParameters": "synth",
+    "build_binary_Nl": "synth",
+    "build_binary_l": "synth",
+    "build_unary": "synth",
+    "build_unary_general": "synth",
+    "lift_parameters": "synth",
+    "select_angle": "synth",
+}
+
+
+def __getattr__(name):
+    if name in ("moqfa", "synth"):
+        return importlib.import_module(f".{name}", __name__)
+    if name in _LAZY:
+        # not cached here: the submodule stays the one binding, so
+        # patching it (or tracing it) shows through this package too
+        return getattr(importlib.import_module(f".{_LAZY[name]}", __name__), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__) | {"moqfa", "synth"})

@@ -13,7 +13,6 @@ import argparse
 import json
 import sys
 
-from . import synth
 from .dfa import (
     DEFAULT_ENUMERATION_BUDGET,
     EnumerationBudgetError,
@@ -24,7 +23,6 @@ from .dfa import (
     smallest_modulus,
     smallest_nondivisor,
 )
-from .moqfa import Moqfa
 from .promise import (
     DEFAULT_I_MAX,
     DEFAULT_J_MAX,
@@ -39,6 +37,16 @@ EXIT_USAGE = 2
 EXIT_SYNTH_FAILURE = 3
 EXIT_COUNTEREXAMPLE = 4
 EXIT_BUDGET = 5
+
+
+def __getattr__(name):
+    # `synth` (and numpy with it) loads only for the commands that build or
+    # run a machine; `cli.synth` still resolves for callers and tests
+    if name == "synth":
+        from . import synth
+
+        return synth
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _add_family_arguments(parser, include_residues=True):
@@ -94,6 +102,8 @@ def _emit(text, output):
 
 
 def cmd_synth(args):
+    from . import synth
+
     spec = _spec_from_args(args)
     if isinstance(spec, UnaryPromiseSpec):
         machine = synth.build_unary_general(spec.N, spec.r_yes, spec.r_no)
@@ -118,6 +128,8 @@ def cmd_synth(args):
 
 
 def cmd_run(args):
+    from .moqfa import Moqfa
+
     with open(args.machine, encoding="utf-8") as handle:
         machine = Moqfa.from_json(handle.read())
     if (args.word is None) == (args.length is None):

@@ -16,6 +16,10 @@ import numpy as np
 from .words import as_runs
 
 ORTHOGONALITY_TOLERANCE = 1e-10
+# |u^D - I| of a built machine grows linearly in D (at worst 1.9e-16 * D
+# over built machines with D up to 10**6); a loaded machine may drift by
+# this much per step on top of the orthogonality slack
+PERIOD_DRIFT_PER_STEP = 1e-14
 
 
 @dataclass(frozen=True)
@@ -147,11 +151,21 @@ class Moqfa:
         Anything above 1e-10 means the machine was not built from proper
         rotations and should be treated as a construction failure.
         """
-        eye = np.eye(self.dim)
-        return max(
-            float(np.max(np.abs(m.T @ m - eye)))
-            for m in (self.u_left, self.u_right, *self.u_sym.values())
-        )
+        stack = np.stack((self.u_left, self.u_right, *self.u_sym.values()))
+        return float(np.max(np.abs(stack.transpose(0, 2, 1) @ stack - np.eye(self.dim))))
+
+    def check_period(self) -> float:
+        """Worst deviation of u^D from the identity over the per-symbol
+        matrices, D = `angle.D`; 0.0 for a machine without an angle.
+
+        Evaluation reduces every run count mod D, which is only right
+        when D is a period of each symbol matrix.
+        """
+        if self.angle is None or not self.u_sym:
+            return 0.0
+        stack = np.stack(tuple(self.u_sym.values()))
+        power = np.linalg.matrix_power(stack, self.angle.D)
+        return float(np.max(np.abs(power - np.eye(self.dim))))
 
     def to_dict(self) -> dict:
         matrices = {"lmark": self.u_left.tolist(), "rmark": self.u_right.tolist()}
@@ -174,7 +188,7 @@ class Moqfa:
         u_left = matrices.pop("lmark")
         u_right = matrices.pop("rmark")
         angle = data.get("angle")
-        return cls(
+        machine = cls(
             dim=data["dim"],
             alphabet=tuple(data["alphabet"]),
             u_left=u_left,
@@ -183,6 +197,22 @@ class Moqfa:
             accepting=frozenset(data["accepting"]),
             angle=None if angle is None else AngleSpec(angle["q"], angle["D"]),
         )
+        # a file can claim anything; a non-orthogonal matrix or a wrong
+        # period gives silently wrong probabilities, so refuse both here
+        # (built machines are checked by their builders instead); a
+        # non-finite entry reads as a nan deviation, without a warning
+        with np.errstate(all="ignore"):
+            orthogonality, period = machine.check_orthogonality(), machine.check_period()
+        if not orthogonality <= ORTHOGONALITY_TOLERANCE:
+            raise ValueError(f"machine matrices drift from orthogonal by {orthogonality:.3g}")
+        if machine.angle is not None and not (
+            period <= ORTHOGONALITY_TOLERANCE + PERIOD_DRIFT_PER_STEP * machine.angle.D
+        ):
+            raise ValueError(
+                f"angle.D = {machine.angle.D} is not a period of the symbol "
+                f"matrices: |u^D - I| = {period:.3g}"
+            )
+        return machine
 
     @classmethod
     def from_json(cls, text: str) -> "Moqfa":

@@ -9,8 +9,9 @@ no-language: b-surplus exactly l, or surplus l modulo N.
 
 import enum
 from dataclasses import dataclass
+from operator import itemgetter
 
-from .words import as_runs
+from .words import as_int, as_runs
 
 DEFAULT_I_MAX = 64
 DEFAULT_J_MAX = 8
@@ -20,6 +21,15 @@ class Classification(enum.Enum):
     YES = "yes"
     NO = "no"
     OUTSIDE = "outside"
+
+
+def _check_integers(spec, names) -> None:
+    """Store each named field of a frozen spec as an int; a bool or a
+    non-integer raises ValueError."""
+    for name in names:
+        value = getattr(spec, name)
+        if type(value) is not int:
+            object.__setattr__(spec, name, as_int(value, name))
 
 
 @dataclass(frozen=True)
@@ -35,6 +45,7 @@ class UnaryPromiseSpec:
     r_no: int
 
     def __post_init__(self):
+        _check_integers(self, ("N", "r_yes", "r_no"))
         if self.N < 2:
             raise ValueError(f"modulus must be at least 2, got {self.N}")
         for name in ("r_yes", "r_no"):
@@ -62,6 +73,7 @@ class BinaryPromiseSpec:
     N: int | None = None
 
     def __post_init__(self):
+        _check_integers(self, ("l",) if self.N is None else ("l", "N"))
         if self.l < 1:
             raise ValueError(f"surplus must be positive, got {self.l}")
         if self.N is not None and not self.l < self.N:
@@ -112,28 +124,30 @@ def enumerate_instances(spec, i_max: int = DEFAULT_I_MAX, j_max: int = DEFAULT_J
     """
     if i_max < 0 or j_max < 0:
         raise ValueError("instance bounds must be nonnegative")
-    items = []
     if isinstance(spec, UnaryPromiseSpec):
+        items = []
         for i in range(i_max + 1):
             items.append((i * spec.N + spec.r_yes, Classification.YES))
             items.append((i * spec.N + spec.r_no, Classification.NO))
         items.sort(key=lambda pair: pair[0])
         return items
 
-    def runs(i, m):
-        return tuple(pair for pair in (("a", i), ("b", m)) if pair[1])
+    def add(i, m, label):
+        # a-heavy words sort lexicographically before b-heavy ones of equal
+        # length: the sort key is (length, b-count)
+        word = tuple(pair for pair in (("a", i), ("b", m)) if pair[1])
+        keyed.append(((i + m, m), word, label))
 
+    keyed = []
     for i in range(i_max + 1):
-        items.append((runs(i, i), Classification.YES))
+        add(i, i, Classification.YES)
         if spec.N is None:
-            items.append((runs(i, i + spec.l), Classification.NO))
+            add(i, i + spec.l, Classification.NO)
         else:
             for j in range(j_max + 1):
-                items.append((runs(i, i + j * spec.N + spec.l), Classification.NO))
-    # a-heavy words sort lexicographically before b-heavy ones of equal length
-    items.sort(key=lambda pair: (sum(c for _, c in pair[0]),
-                                 dict(pair[0]).get("b", 0)))
-    return items
+                add(i, i + j * spec.N + spec.l, Classification.NO)
+    keyed.sort(key=itemgetter(0))
+    return [(word, label) for _, word, label in keyed]
 
 
 def spec_to_dict(spec) -> dict:

@@ -9,6 +9,7 @@ the quantum-vs-DFA state-count table.
 import csv
 import json
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .dfa import (
     DEFAULT_ENUMERATION_BUDGET,
@@ -19,7 +20,6 @@ from .dfa import (
     smallest_modulus,
     smallest_nondivisor,
 )
-from .moqfa import Moqfa
 from .promise import (
     DEFAULT_I_MAX,
     DEFAULT_J_MAX,
@@ -29,6 +29,9 @@ from .promise import (
     enumerate_instances,
     spec_to_dict,
 )
+
+if TYPE_CHECKING:  # the harness only calls a machine's methods; no numpy import
+    from .moqfa import Moqfa
 
 DEFAULT_TOLERANCE = 1e-9
 
@@ -70,7 +73,7 @@ class ExactnessReport:
         return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
 
 
-def _witness_probabilities(machine: Moqfa, spec, i_max: int, j_max: int):
+def _witness_probabilities(machine: "Moqfa", spec, i_max: int, j_max: int):
     """Yield (word, label, acceptance probability) for every enumerated
     promise instance. Each distinct residue class of words (equal
     `reduced_runs`) is evaluated once per call; the result is the one
@@ -85,7 +88,7 @@ def _witness_probabilities(machine: Moqfa, spec, i_max: int, j_max: int):
 
 
 def verify_exactness(
-    machine: Moqfa,
+    machine: "Moqfa",
     spec,
     i_max: int = DEFAULT_I_MAX,
     j_max: int = DEFAULT_J_MAX,
@@ -126,7 +129,7 @@ def verify_exactness(
 
 
 def cross_check(
-    machine: Moqfa,
+    machine: "Moqfa",
     dfa: Dfa,
     spec,
     i_max: int = DEFAULT_I_MAX,

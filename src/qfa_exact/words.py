@@ -50,7 +50,7 @@ def as_runs(word, alphabet) -> tuple[tuple[str, int], ...]:
     runs = []
     for sym, count in pairs:
         if type(count) is not int:
-            count = _count(count)
+            count = as_int(count, "run count")
         if sym not in alphabet:
             raise ValueError(f"symbol {sym!r} not in alphabet {alphabet}")
         if count < 0:
@@ -64,28 +64,30 @@ def as_runs(word, alphabet) -> tuple[tuple[str, int], ...]:
     return tuple(runs)
 
 
-def _count(count) -> int:
-    """A run count that is not exactly an int, as an int if it is integral."""
-    if isinstance(count, bool):
-        raise ValueError(f"run count must be an integer, got {count!r}")
+def as_int(value, what: str) -> int:
+    """`value` as an int. Any non-bool integer type (a numpy integer, say)
+    is accepted; anything else raises ValueError naming `what`."""
+    if isinstance(value, bool):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
     try:
-        return index(count)
+        return index(value)
     except TypeError:
-        raise ValueError(f"run count must be an integer, got {count!r}") from None
+        raise ValueError(f"{what} must be an integer, got {value!r}") from None
 
 
 def materialize(word) -> str:
-    """Expand a run-length or int word into its literal string."""
+    """Expand a run-length or integer word into its literal string."""
     if isinstance(word, str):
         return word
-    if isinstance(word, int):
-        return "a" * word
+    if hasattr(word, "__index__"):  # an integer word; as_runs applies the length rule
+        word = as_runs(word, ("a",))
     return "".join(sym * count for sym, count in word)
 
 
 def word_length(word) -> int:
-    if isinstance(word, int):
-        return word
+    """Number of symbols in a str, run-length or integer word."""
     if isinstance(word, str):
         return len(word)
+    if hasattr(word, "__index__"):  # an integer word; as_runs applies the length rule
+        word = as_runs(word, ("a",))
     return sum(count for _, count in word)

@@ -209,3 +209,19 @@ def test_table_rejects_non_integer_spec_fields(tmp_path, capsys, spec):
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("edit", ["period", "orthogonality"])
+def test_run_rejects_machine_files_that_lie(tmp_path, capsys, edit):
+    machine_path = tmp_path / "machine.json"
+    run_cli(capsys, "synth", "--family", "A", "--N", "7", "--l", "3", "-o", str(machine_path))
+    data = json.loads(machine_path.read_text())
+    if edit == "period":
+        data["angle"]["D"] = 5
+    else:
+        data["matrices"]["a"][0][0] += 3.0
+    machine_path.write_text(json.dumps(data))
+    code, out, err = run_cli(capsys, "run", "--machine", str(machine_path), "--length", "14")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1

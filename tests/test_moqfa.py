@@ -249,3 +249,37 @@ def test_numpy_integer_words_are_lengths_and_other_scalars_fail_cleanly():
             machine.accept_probability(word)
         with pytest.raises(ValueError):
             dfa.accepts(word)
+
+
+def test_loading_checks_pass_on_built_machines():
+    for machine in (build_unary(7, 3), build_binary_l(6), build_binary_Nl(13, 10),
+                    build_unary(999983, 999982), build_binary_Nl(10**6, 2), build_binary_l(228589)):
+        assert machine.check_period() <= 1e-10 + 1e-14 * machine.angle.D
+        clone = Moqfa.from_json(machine.to_json())
+        assert clone.angle == machine.angle
+
+
+def test_loading_rejects_an_edited_period():
+    data = build_unary(7, 3).to_dict()
+    data["angle"]["D"] = 5  # loaded unchecked, this gave P(a^14) = 7e-32, not 1
+    with pytest.raises(ValueError, match="period"):
+        Moqfa.from_dict(data)
+    data["angle"]["D"] = 14  # any multiple of the period is still one
+    assert Moqfa.from_dict(data).accept_probability(14) == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("entry", [3.0, float("nan"), float("inf")])
+def test_loading_rejects_non_orthogonal_matrices(entry):
+    data = build_unary(7, 3).to_dict()
+    data["matrices"]["a"][0][0] += entry
+    with pytest.raises(ValueError, match="orthogonal"):
+        Moqfa.from_dict(data)
+    raw = {**build_binary_l(2).to_dict(), "angle": None}
+    raw["matrices"]["lmark"][1][1] += entry
+    with pytest.raises(ValueError, match="orthogonal"):
+        Moqfa.from_dict(raw)
+
+
+def test_check_period_without_an_angle_is_zero():
+    raw = Moqfa.from_dict({**build_unary(7, 3).to_dict(), "angle": None})
+    assert raw.check_period() == 0.0

@@ -229,3 +229,61 @@ def test_as_runs_takes_integer_types_as_lengths():
 def test_as_runs_rejects_words_that_are_no_length_str_or_runs(word):
     with pytest.raises(ValueError):
         as_runs(word, ("a",))
+
+
+def test_materialize_and_length_take_integer_types_as_lengths():
+    for word in (np.int64(3), np.uint8(3), np.int32(3)):
+        assert materialize(word) == "aaa"
+        assert word_length(word) == 3
+        assert type(word_length(word)) is int
+    assert materialize(np.int64(0)) == "" and word_length(np.int64(0)) == 0
+    for word in (True, np.int64(-1), -1):
+        with pytest.raises(ValueError):
+            materialize(word)
+        with pytest.raises(ValueError):
+            word_length(word)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: UnaryPromiseSpec(7.5, 0, 3),
+        lambda: UnaryPromiseSpec(7, 0.0, 3),
+        lambda: UnaryPromiseSpec(7, 0, "3"),
+        lambda: UnaryPromiseSpec(True, 0, 1),
+        lambda: BinaryPromiseSpec(True),
+        lambda: BinaryPromiseSpec(2, 4.5),
+        lambda: BinaryPromiseSpec(2.0),
+        lambda: BinaryPromiseSpec(1, True),
+        lambda: BinaryPromiseSpec(None),
+    ],
+)
+def test_spec_constructors_reject_bools_and_non_integers(make):
+    with pytest.raises(ValueError):
+        make()
+
+
+def test_spec_constructors_store_integer_types_as_int():
+    unary = UnaryPromiseSpec(np.int64(7), np.int32(0), np.uint8(3))
+    assert unary == UnaryPromiseSpec(7, 0, 3)
+    assert all(type(value) is int for value in (unary.N, unary.r_yes, unary.r_no))
+    binary = BinaryPromiseSpec(np.int64(2), np.int64(5))
+    assert binary == BinaryPromiseSpec(2, 5)
+    assert type(binary.l) is int and type(binary.N) is int
+    assert BinaryPromiseSpec(3).N is None
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [BinaryPromiseSpec(1), BinaryPromiseSpec(4), BinaryPromiseSpec(1, 2),
+     BinaryPromiseSpec(2, 5), BinaryPromiseSpec(10, 13)],
+)
+@pytest.mark.parametrize("i_max, j_max", [(0, 0), (5, 3), (32, 4), (64, 8)])
+def test_binary_enumeration_order_matches_the_word_sort_key(spec, i_max, j_max):
+    # the order the witness sweeps have always used: total length, then
+    # b-count, each computed from the word itself
+    items = enumerate_instances(spec, i_max, j_max)
+    expected = sorted(items, key=lambda pair: (sum(c for _, c in pair[0]),
+                                               dict(pair[0]).get("b", 0)))
+    assert items == expected
+    assert len({word for word, _ in items}) == len(items)
