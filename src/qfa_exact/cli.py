@@ -16,12 +16,10 @@ import sys
 from .dfa import (
     DEFAULT_ENUMERATION_BUDGET,
     EnumerationBudgetError,
-    build_binary_min_dfa,
-    build_unary_min_dfa,
+    build_min_dfa,
     certify_minimality_binary,
     certify_minimality_unary,
-    smallest_modulus,
-    smallest_nondivisor,
+    claimed_size,
 )
 from .promise import (
     DEFAULT_I_MAX,
@@ -104,26 +102,13 @@ def _emit(text, output):
 def cmd_synth(args):
     from . import synth
 
-    spec = _spec_from_args(args)
-    if isinstance(spec, UnaryPromiseSpec):
-        machine = synth.build_unary_general(spec.N, spec.r_yes, spec.r_no)
-        selection = synth.select_angle(spec.N, spec.gap)
-        summary = (
-            f"{machine.dim}-state machine, theta = 2*pi*{selection.q}/{selection.D}, "
-            f"p = {selection.p:.6f}, case = {selection.case_tag}"
-        )
-    elif spec.N is None:
-        machine = synth.build_binary_l(spec.l)
-        summary = f"{machine.dim}-state machine, theta = 2*pi*1/{4 * spec.l}, p = 0.000000, case = quarter_turn"
-    else:
-        machine = synth.build_binary_Nl(spec.N, spec.l)
-        selection = synth.select_angle(spec.N, spec.l)
-        summary = (
-            f"{machine.dim}-state machine, theta = 2*pi*{selection.q}/{selection.D}, "
-            f"p = {selection.p:.6f}, case = {selection.case_tag}"
-        )
+    machine, selection = synth.build_for(_spec_from_args(args))
     stream = _emit(machine.to_json(), args.output)
-    print(summary, file=stream)
+    print(
+        f"{machine.dim}-state machine, theta = 2*pi*{selection.q}/{selection.D}, "
+        f"p = {selection.p:.6f}, case = {selection.case_tag}",
+        file=stream,
+    )
     return EXIT_OK
 
 
@@ -142,20 +127,9 @@ def cmd_run(args):
 
 def cmd_dfa(args):
     spec = _spec_from_args(args)
-    if isinstance(spec, UnaryPromiseSpec):
-        d = smallest_modulus(spec.N, spec.gap)
-        dfa = build_unary_min_dfa(spec.N, spec.gap)
-        source = "smallest_modulus"
-    elif spec.N is None:
-        d = smallest_nondivisor(spec.l)
-        dfa = build_binary_min_dfa(d)
-        source = "smallest_nondivisor"
-    else:
-        d = smallest_modulus(spec.N, spec.l)
-        dfa = build_binary_min_dfa(d)
-        source = "smallest_modulus"
-    stream = _emit(dfa.to_json(), args.output)
-    print(f"d={d} ({source})", file=stream)
+    d, formula = claimed_size(spec)
+    stream = _emit(build_min_dfa(spec).to_json(), args.output)
+    print(f"d={d} ({formula})", file=stream)
     return EXIT_OK
 
 

@@ -19,7 +19,7 @@ from .promise import (
     enumerate_instances,
     spec_to_dict,
 )
-from .words import as_runs
+from .words import as_int, as_runs
 
 DEFAULT_ENUMERATION_BUDGET = 10**6
 
@@ -111,12 +111,18 @@ class Dfa:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Dfa":
+        # the field types are checked here and not in __post_init__, which
+        # the binary certificate runs once per transition table
+        alphabet = tuple(data["alphabet"])
+        for sym in alphabet:
+            if not isinstance(sym, str):
+                raise ValueError(f"alphabet symbol must be a str, got {sym!r}")
         return cls(
-            num_states=data["states"],
-            alphabet=tuple(data["alphabet"]),
-            delta=tuple(tuple(row) for row in data["delta"]),
-            start=data["start"],
-            accepting=frozenset(data["accepting"]),
+            num_states=as_int(data["states"], "states"),
+            alphabet=alphabet,
+            delta=tuple(tuple(as_int(s, "transition target") for s in row) for row in data["delta"]),
+            start=as_int(data["start"], "start state"),
+            accepting=frozenset(as_int(s, "accepting state") for s in data["accepting"]),
         )
 
     @classmethod
@@ -180,18 +186,41 @@ def smallest_modulus_alt(N: int, l: int) -> int:
     return d
 
 
-def build_unary_min_dfa(N: int, l: int) -> Dfa:
-    """The d-state single-cycle solver for the unary offset family,
-    d = smallest_modulus(N, l): step forward mod d, accept the states
-    hit by multiples of N."""
-    d = smallest_modulus(N, l)
+def claimed_size(spec) -> tuple[int, str]:
+    """The minimal DFA size for a promise spec and the name of the size
+    formula that gives it: smallest_nondivisor(l) for `B`, otherwise
+    smallest_modulus of the modulus and the offset or surplus."""
+    if isinstance(spec, UnaryPromiseSpec):
+        return smallest_modulus(spec.N, spec.gap), "smallest_modulus"
+    if not isinstance(spec, BinaryPromiseSpec):
+        raise TypeError(f"not a promise spec: {spec!r}")
+    if spec.N is None:
+        return smallest_nondivisor(spec.l), "smallest_nondivisor"
+    return smallest_modulus(spec.N, spec.l), "smallest_modulus"
+
+
+def build_min_dfa(spec) -> Dfa:
+    """The claimed_size(spec)-state solver for any promise spec: the
+    binary up/down counter, or the unary cycle counter started r_yes
+    steps back, so that the yes-lengths r_yes + iN end in state 0 and
+    the no-lengths, l mod d steps further, do not."""
+    d, _ = claimed_size(spec)
+    if isinstance(spec, BinaryPromiseSpec):
+        return build_binary_min_dfa(d)
     return Dfa(
         num_states=d,
         alphabet=("a",),
         delta=tuple(((i + 1) % d,) for i in range(d)),
-        start=0,
-        accepting=frozenset((i * N) % d for i in range(d)),
+        start=(-spec.r_yes) % d,
+        accepting=frozenset({0}),
     )
+
+
+def build_unary_min_dfa(N: int, l: int) -> Dfa:
+    """The d-state single-cycle solver for the unary offset family,
+    d = smallest_modulus(N, l): step forward mod d, accept the states
+    hit by multiples of N."""
+    return build_min_dfa(UnaryPromiseSpec(N, 0, l))
 
 
 def build_binary_min_dfa(d: int) -> Dfa:
@@ -370,10 +399,7 @@ def certify_minimality_binary(
     Candidate counts explode as m^(2m); the default budget admits d <= 4
     and anything larger raises EnumerationBudgetError up front.
     """
-    if spec.N is None:
-        d = smallest_nondivisor(spec.l)
-    else:
-        d = smallest_modulus(spec.N, spec.l)
+    d, _ = claimed_size(spec)
     _check_budget(_binary_candidate_count(d), budget, d)
     instances = enumerate_instances(spec, i_max, j_max)
     witnesses = [(_letter_counts(word), label is Classification.YES) for word, label in instances]

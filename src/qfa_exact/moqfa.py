@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .words import as_runs
+from .words import as_int, as_runs
 
 ORTHOGONALITY_TOLERANCE = 1e-10
 # |u^D - I| of a built machine grows linearly in D (at worst 1.9e-16 * D
@@ -36,6 +36,10 @@ class AngleSpec:
     D: int
 
     def __post_init__(self):
+        for name in ("q", "D"):
+            value = getattr(self, name)
+            if type(value) is not int:
+                object.__setattr__(self, name, as_int(value, f"angle.{name}"))
         if self.D < 1:
             raise ValueError(f"denominator must be positive, got {self.D}")
         if self.q < 0:
@@ -189,12 +193,12 @@ class Moqfa:
         u_right = matrices.pop("rmark")
         angle = data.get("angle")
         machine = cls(
-            dim=data["dim"],
+            dim=as_int(data["dim"], "dim"),
             alphabet=tuple(data["alphabet"]),
             u_left=u_left,
             u_sym=matrices,
             u_right=u_right,
-            accepting=frozenset(data["accepting"]),
+            accepting=frozenset(as_int(s, "accepting state") for s in data["accepting"]),
             angle=None if angle is None else AngleSpec(angle["q"], angle["D"]),
         )
         # a file can claim anything; a non-orthogonal matrix or a wrong

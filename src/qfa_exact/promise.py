@@ -161,24 +161,19 @@ def spec_to_dict(spec) -> dict:
     raise TypeError(f"not a promise spec: {spec!r}")
 
 
-def _int_field(data: dict, name: str) -> int:
-    value = data[name]
-    if type(value) is not int:
-        raise ValueError(f"spec field {name!r} must be an integer, got {value!r}")
-    return value
-
-
 def spec_from_dict(data: dict):
     if not isinstance(data, dict):
         raise ValueError(f"spec object must be a JSON object, got {type(data).__name__}")
     try:
         family = data["family"]
         if family == "A":
-            return UnaryPromiseSpec(*(_int_field(data, name) for name in ("N", "r_yes", "r_no")))
-        if family == "B":
-            return BinaryPromiseSpec(_int_field(data, "l"))
-        if family == "BN":
-            return BinaryPromiseSpec(_int_field(data, "l"), _int_field(data, "N"))
+            make, names = UnaryPromiseSpec, ("N", "r_yes", "r_no")
+        elif family == "B":
+            make, names = BinaryPromiseSpec, ("l",)
+        elif family == "BN":
+            make, names = BinaryPromiseSpec, ("l", "N")
+        else:
+            raise ValueError(f"unknown family {family!r}")
+        return make(*(as_int(data[name], f"spec field {name!r}") for name in names))
     except KeyError as exc:
         raise ValueError(f"spec object is missing field {exc}") from exc
-    raise ValueError(f"unknown family {family!r}")

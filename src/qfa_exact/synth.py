@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .moqfa import ORTHOGONALITY_TOLERANCE, AngleSpec, Moqfa
+from .promise import BinaryPromiseSpec, UnaryPromiseSpec
 
 LIFT_TOLERANCE = 1e-12
 
@@ -140,6 +141,45 @@ def _checked(machine: Moqfa) -> Moqfa:
     return machine
 
 
+def _lifted_rotation(N: int, l: int, alphabet: tuple[str, ...], skip: int | None = None):
+    """The one construction behind the three-state machines: select the
+    angle for (N, l), seed the rotating plane with the lift of its tilt,
+    and let `a` rotate by theta (one letter) or by -theta against `b`'s
+    +theta (two letters). `skip` pre-rotates the left marker by that many
+    symbol steps. Returns the checked machine and the selection."""
+    selection = select_angle(N, l)
+    angle = AngleSpec(selection.q, N)
+    rot = angle.rotation(1)
+    seed = _seed_matrix(lift_parameters(selection.p))
+    if len(alphabet) == 1:
+        u_sym = {"a": _embed_3d(rot)}
+    else:
+        u_sym = {"a": _embed_3d(rot.T.copy()), "b": _embed_3d(rot)}
+    machine = _checked(Moqfa(
+        dim=3,
+        alphabet=alphabet,
+        u_left=seed if skip is None else _embed_3d(angle.rotation(skip)) @ seed,
+        u_sym=u_sym,
+        u_right=seed.T.copy(),
+        accepting=frozenset({0}),
+        angle=angle,
+    ))
+    return machine, selection
+
+
+def build_for(spec) -> tuple[Moqfa, AngleSelection]:
+    """The exact machine for any promise spec, with the angle selection it
+    was built from; family `B` reads as AngleSelection(1, 4l, 0.0,
+    "quarter_turn")."""
+    if isinstance(spec, UnaryPromiseSpec):
+        return _lifted_rotation(spec.N, spec.gap, ("a",), skip=(-spec.r_yes) % spec.N)
+    if not isinstance(spec, BinaryPromiseSpec):
+        raise TypeError(f"not a promise spec: {spec!r}")
+    if spec.N is None:
+        return build_binary_l(spec.l), AngleSelection(1, 4 * spec.l, 0.0, "quarter_turn")
+    return _lifted_rotation(spec.N, spec.l, ("a", "b"))
+
+
 def build_unary(N: int, l: int) -> Moqfa:
     """Three-state machine that is exact on the unary offset family:
     accepts every a^{iN} with probability 1 and every a^{iN+l} with
@@ -150,44 +190,18 @@ def build_unary(N: int, l: int) -> Moqfa:
     marker rotation, so yes-words return to basis state 0 exactly while
     no-words end with zero amplitude there.
     """
-    selection = select_angle(N, l)
-    lift = lift_parameters(selection.p)
-    angle = AngleSpec(selection.q, N)
-    u_left = _seed_matrix(lift)
-    return _checked(Moqfa(
-        dim=3,
-        alphabet=("a",),
-        u_left=u_left,
-        u_sym={"a": _embed_3d(angle.rotation(1))},
-        u_right=u_left.T.copy(),
-        accepting=frozenset({0}),
-        angle=angle,
-    ))
+    return _lifted_rotation(N, l, ("a",))[0]
 
 
 def build_unary_general(N: int, r1: int, r2: int) -> Moqfa:
     """Three-state machine for the general residue pair: probability 1 on
     lengths ≡ r1 (mod N), probability 0 on lengths ≡ r2 (mod N).
 
-    Built from the offset machine for l = (r2 - r1) mod N by
-    pre-rotating the left marker (N - r1) mod N symbol steps, so reading
-    a word of length n behaves like the offset machine on n + N - r1.
+    The offset machine for l = (r2 - r1) mod N with the left marker
+    pre-rotated (N - r1) mod N symbol steps, so reading a word of length
+    n behaves like the offset machine on n + N - r1.
     """
-    if not (0 <= r1 < N and 0 <= r2 < N):
-        raise ValueError(f"residues must lie in [0, {N}), got r1={r1}, r2={r2}")
-    if r1 == r2:
-        raise ValueError("residues must differ")
-    base = build_unary(N, (r2 - r1) % N)
-    shift = _embed_3d(base.angle.rotation((N - r1) % N))
-    return _checked(Moqfa(
-        dim=3,
-        alphabet=base.alphabet,
-        u_left=shift @ base.u_left,
-        u_sym=base.u_sym,
-        u_right=base.u_right,
-        accepting=base.accepting,
-        angle=base.angle,
-    ))
+    return build_for(UnaryPromiseSpec(N, r1, r2))[0]
 
 
 def build_binary_l(l: int) -> Moqfa:
@@ -221,17 +235,4 @@ def build_binary_Nl(N: int, l: int) -> Moqfa:
     the (1, 2) plane in opposite directions, so only the b-surplus
     jN + l ≡ l (mod N) survives and lands orthogonal to the accept state.
     """
-    selection = select_angle(N, l)
-    lift = lift_parameters(selection.p)
-    angle = AngleSpec(selection.q, N)
-    rot = angle.rotation(1)
-    u_left = _seed_matrix(lift)
-    return _checked(Moqfa(
-        dim=3,
-        alphabet=("a", "b"),
-        u_left=u_left,
-        u_sym={"a": _embed_3d(rot.T.copy()), "b": _embed_3d(rot)},
-        u_right=u_left.T.copy(),
-        accepting=frozenset({0}),
-        angle=angle,
-    ))
+    return _lifted_rotation(N, l, ("a", "b"))[0]

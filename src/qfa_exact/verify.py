@@ -17,13 +17,11 @@ from .dfa import (
     EnumerationBudgetError,
     certify_minimality_binary,
     certify_minimality_unary,
-    smallest_modulus,
-    smallest_nondivisor,
+    claimed_size,
 )
 from .promise import (
     DEFAULT_I_MAX,
     DEFAULT_J_MAX,
-    BinaryPromiseSpec,
     Classification,
     UnaryPromiseSpec,
     enumerate_instances,
@@ -166,33 +164,19 @@ def separation_row(
 ) -> SeparationRow:
     """Compute one table row; certification misses the budget quietly
     (dfa_certified stays False) rather than failing the row."""
+    dfa_states, _ = claimed_size(spec)
+    unary = isinstance(spec, UnaryPromiseSpec)
     certified = False
-    if isinstance(spec, UnaryPromiseSpec):
-        qfa_states = 3
-        dfa_states = smallest_modulus(spec.N, spec.gap)
-        if certify_budget:
-            try:
-                certified = certify_minimality_unary(
-                    spec.N, spec.gap, budget=certify_budget
-                ).certified
-            except EnumerationBudgetError:
-                certified = False
-    elif isinstance(spec, BinaryPromiseSpec):
-        if spec.N is None:
-            qfa_states = 2
-            dfa_states = smallest_nondivisor(spec.l)
-        else:
-            qfa_states = 3
-            dfa_states = smallest_modulus(spec.N, spec.l)
-        if certify_budget:
-            try:
-                certified = certify_minimality_binary(
-                    spec, i_max, j_max, budget=certify_budget
-                ).certified
-            except EnumerationBudgetError:
-                certified = False
-    else:
-        raise TypeError(f"not a promise spec: {spec!r}")
+    if certify_budget:
+        try:
+            if unary:
+                certificate = certify_minimality_unary(spec.N, spec.gap, budget=certify_budget)
+            else:
+                certificate = certify_minimality_binary(spec, i_max, j_max, budget=certify_budget)
+            certified = certificate.certified
+        except EnumerationBudgetError:
+            pass
+    qfa_states = 3 if unary or spec.N is not None else 2
     return SeparationRow(spec=spec, qfa_states=qfa_states, dfa_states=dfa_states, dfa_certified=certified)
 
 

@@ -75,19 +75,26 @@ def as_int(value, what: str) -> int:
         raise ValueError(f"{what} must be an integer, got {value!r}") from None
 
 
+def _runs_of(word):
+    """A non-str word as runs: an integer word through the length rule of
+    `as_runs`, anything else as given, so long as it is iterable."""
+    if hasattr(word, "__index__"):
+        return as_runs(word, ("a",))
+    try:
+        return iter(word)
+    except TypeError:
+        raise ValueError(f"not a word: {word!r}") from None
+
+
 def materialize(word) -> str:
     """Expand a run-length or integer word into its literal string."""
     if isinstance(word, str):
         return word
-    if hasattr(word, "__index__"):  # an integer word; as_runs applies the length rule
-        word = as_runs(word, ("a",))
-    return "".join(sym * count for sym, count in word)
+    return "".join(sym * count for sym, count in _runs_of(word))
 
 
 def word_length(word) -> int:
     """Number of symbols in a str, run-length or integer word."""
     if isinstance(word, str):
         return len(word)
-    if hasattr(word, "__index__"):  # an integer word; as_runs applies the length rule
-        word = as_runs(word, ("a",))
-    return sum(count for _, count in word)
+    return sum(count for _, count in _runs_of(word))

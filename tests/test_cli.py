@@ -21,6 +21,31 @@ def test_synth_unary_to_stdout(capsys):
     assert "case = mid" in err
 
 
+@pytest.mark.parametrize(
+    "flags,summary",
+    [
+        (("A", "--N", "16", "--l", "1"), "3-state machine, theta = 2*pi*4/16, p = 0.000000, case = small_l"),
+        (("A", "--N", "7", "--l", "3"), "3-state machine, theta = 2*pi*1/7, p = -0.900969, case = mid"),
+        (("A", "--N", "7", "--l", "6"), "3-state machine, theta = 2*pi*3/7, p = -0.900969, case = large_l"),
+        (("A", "--N", "12", "--r1", "5", "--r2", "1"),
+         "3-state machine, theta = 2*pi*1/12, p = -0.500000, case = mid"),
+        (("B", "--l", "4"), "2-state machine, theta = 2*pi*1/16, p = 0.000000, case = quarter_turn"),
+        (("BN", "--N", "13", "--l", "10"), "3-state machine, theta = 2*pi*2/13, p = -0.970942, case = large_l"),
+        (("BN", "--N", "12", "--l", "2"), "3-state machine, theta = 2*pi*2/12, p = -0.500000, case = small_l"),
+    ],
+)
+def test_synth_summary_lines(capsys, monkeypatch, flags, summary):
+    import qfa_exact.synth as synth_module
+
+    calls = []
+    select_angle = synth_module.select_angle
+    monkeypatch.setattr(synth_module, "select_angle", lambda *a: calls.append(a) or select_angle(*a))
+    code, out, err = run_cli(capsys, "synth", "--family", *flags)
+    assert code == 0
+    assert err == summary + "\n"
+    assert len(calls) == (0 if flags[0] == "B" else 1)
+
+
 def test_synth_binary_machine(capsys):
     code, out, err = run_cli(capsys, "synth", "--family", "B", "--l", "4")
     assert code == 0
@@ -45,7 +70,7 @@ def test_internal_synthesis_failure_exit_code(capsys, monkeypatch):
     def explode(*args, **kwargs):
         raise RuntimeError("planted synthesis fault")
 
-    monkeypatch.setattr(cli_module.synth, "build_unary_general", explode)
+    monkeypatch.setattr(cli_module.synth, "select_angle", explode)
     code, _, err = run_cli(capsys, "synth", "--family", "A", "--N", "7", "--l", "3")
     assert code == 3
     assert "synthesis failure" in err
@@ -105,6 +130,15 @@ def test_dfa_subcommand(capsys, argv, expected_d, expected_source):
     dfa = Dfa.from_json(out)
     assert dfa.num_states == expected_d
     assert f"d={expected_d} ({expected_source})" in err
+
+
+def test_dfa_general_residues_accept_r1_and_reject_r2(capsys):
+    code, out, err = run_cli(capsys, "dfa", "--family", "A", "--N", "7", "--r1", "2", "--r2", "5")
+    assert code == 0
+    assert err == "d=7 (smallest_modulus)\n"
+    dfa = Dfa.from_json(out)
+    assert [dfa.accepts(n) for n in (2, 9, 16, 23)] == [True] * 4
+    assert [dfa.accepts(n) for n in (5, 12, 19, 26)] == [False] * 4
 
 
 def test_certify_subcommand(capsys):
@@ -211,15 +245,23 @@ def test_table_rejects_non_integer_spec_fields(tmp_path, capsys, spec):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("edit", ["period", "orthogonality"])
+@pytest.mark.parametrize(
+    "edit", ["period", "orthogonality", "accepting_bool", "dim_str", "D_bool", "D_float"]
+)
 def test_run_rejects_machine_files_that_lie(tmp_path, capsys, edit):
     machine_path = tmp_path / "machine.json"
     run_cli(capsys, "synth", "--family", "A", "--N", "7", "--l", "3", "-o", str(machine_path))
     data = json.loads(machine_path.read_text())
     if edit == "period":
         data["angle"]["D"] = 5
-    else:
+    elif edit == "orthogonality":
         data["matrices"]["a"][0][0] += 3.0
+    elif edit == "accepting_bool":
+        data["accepting"] = [True]
+    elif edit == "dim_str":
+        data["dim"] = "3"
+    else:
+        data["angle"]["D"] = True if edit == "D_bool" else 7.0
     machine_path.write_text(json.dumps(data))
     code, out, err = run_cli(capsys, "run", "--machine", str(machine_path), "--length", "14")
     assert code == 2

@@ -1,3 +1,4 @@
+import json
 import random
 from dataclasses import replace
 from itertools import product
@@ -20,6 +21,7 @@ from qfa_exact import (
     smallest_modulus_alt,
     smallest_nondivisor,
 )
+from qfa_exact.dfa import build_min_dfa, claimed_size
 
 
 def naive_final_state(dfa, word):
@@ -194,6 +196,43 @@ def test_unary_min_dfa_solves_its_family():
         assert dfa.num_states == smallest_modulus(N, l)
         for word, label in enumerate_instances(UnaryPromiseSpec(N, 0, l), i_max=40):
             assert dfa.accepts(word) == (label is Classification.YES), (N, l, word)
+
+
+def test_min_dfa_of_every_general_unary_spec_solves_it():
+    # the counter's state after n symbols depends on n mod d, and d
+    # divides N, so the witnesses with i <= 3 meet every class it can reach
+    for N in range(2, 31):
+        for r_yes, r_no in product(range(N), repeat=2):
+            if r_yes == r_no:
+                continue
+            spec = UnaryPromiseSpec(N, r_yes, r_no)
+            dfa = build_min_dfa(spec)
+            assert claimed_size(spec) == (dfa.num_states, "smallest_modulus")
+            assert dfa.num_states == smallest_modulus(N, spec.gap)
+            for word, label in enumerate_instances(spec, i_max=3):
+                assert dfa.accepts(word) == (label is Classification.YES), (spec, word)
+
+
+@pytest.mark.parametrize(
+    "spec,size",
+    [(BinaryPromiseSpec(12), (5, "smallest_nondivisor")), (BinaryPromiseSpec(1), (2, "smallest_nondivisor")),
+     (BinaryPromiseSpec(5, 15), (3, "smallest_modulus")), (BinaryPromiseSpec(10, 13), (13, "smallest_modulus")),
+     (UnaryPromiseSpec(16, 0, 8), (16, "smallest_modulus"))],
+)
+def test_claimed_size_and_min_dfa_per_family(spec, size):
+    assert claimed_size(spec) == size
+    dfa = build_min_dfa(spec)
+    assert dfa.num_states == size[0]
+    for word, label in enumerate_instances(spec, i_max=12, j_max=2):
+        assert dfa.accepts(word) == (label is Classification.YES)
+
+
+def test_claimed_size_rejects_non_specs():
+    for bad in (None, 7, {"family": "B", "l": 4}):
+        with pytest.raises(TypeError):
+            claimed_size(bad)
+        with pytest.raises(TypeError):
+            build_min_dfa(bad)
 
 
 def test_binary_min_dfa_figure_shape_and_language():
@@ -387,6 +426,19 @@ def test_dfa_json_round_trip():
     assert set(data) == {"states", "alphabet", "delta", "start", "accepting"}
     with pytest.raises(ValueError):
         Dfa.from_json("[oops")
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [("start", True), ("start", 0.0), ("delta", [[1.0, 2], [2, 0], [0, 1]]), ("delta", [[1, True], [2, 0], [0, 1]]),
+     ("alphabet", [1, 2]), ("alphabet", ["a", None]), ("accepting", [0.0]), ("accepting", [False]),
+     ("states", True), ("states", "3")],
+)
+def test_dfa_loading_checks_field_types(field, value):
+    data = build_binary_min_dfa(3).to_dict()
+    data[field] = value
+    with pytest.raises(ValueError):
+        Dfa.from_json(json.dumps(data))
 
 
 def test_dfa_construction_validation():

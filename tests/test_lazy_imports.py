@@ -22,6 +22,8 @@ CLASSICAL_RUNS = {
     "import": "import qfa_exact",
     "import_cli": "import qfa_exact.cli",
     "dfa": "from qfa_exact.cli import main; assert main(['dfa', '--family', 'BN', '--N', '12', '--l', '5']) == 0",
+    "dfa_general": "from qfa_exact.cli import main; "
+                   "assert main(['dfa', '--family', 'A', '--N', '7', '--r1', '2', '--r2', '5']) == 0",
     "certify": "from qfa_exact.cli import main; assert main(['certify', '--family', 'B', '--l', '4']) == 0",
     "table": "from qfa_exact.cli import main; assert main(['table', '--specs', SPECS]) == 0",
 }

@@ -1,3 +1,4 @@
+import json
 import math
 from dataclasses import replace
 
@@ -27,6 +28,18 @@ def test_angle_spec_normalizes_and_reduces():
         AngleSpec(1, 0)
     with pytest.raises(ValueError):
         AngleSpec(-1, 4)
+
+
+@pytest.mark.parametrize("q,D", [(1, True), (1, 7.0), (True, 7), (1.0, 7), ("1", 7), (1, None)])
+def test_angle_spec_rejects_bools_and_non_integers(q, D):
+    with pytest.raises(ValueError, match="must be an integer"):
+        AngleSpec(q, D)
+
+
+def test_angle_spec_stores_integer_types_as_int():
+    angle = AngleSpec(np.int64(9), np.int32(7))
+    assert (angle.q, angle.D) == (2, 7)
+    assert type(angle.q) is int and type(angle.D) is int
 
 
 def test_rotation_is_exactly_reduced():
@@ -278,6 +291,17 @@ def test_loading_rejects_non_orthogonal_matrices(entry):
     raw["matrices"]["lmark"][1][1] += entry
     with pytest.raises(ValueError, match="orthogonal"):
         Moqfa.from_dict(raw)
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [("dim", "3"), ("dim", True), ("dim", 3.0), ("accepting", [True]), ("accepting", [0.0])],
+)
+def test_loading_checks_integer_fields(field, value):
+    data = json.loads(build_unary(7, 3).to_json())
+    data[field] = value
+    with pytest.raises(ValueError, match="must be an integer"):
+        Moqfa.from_json(json.dumps(data))
 
 
 def test_check_period_without_an_angle_is_zero():

@@ -237,7 +237,7 @@ def test_materialize_and_length_take_integer_types_as_lengths():
         assert word_length(word) == 3
         assert type(word_length(word)) is int
     assert materialize(np.int64(0)) == "" and word_length(np.int64(0)) == 0
-    for word in (True, np.int64(-1), -1):
+    for word in (True, np.int64(-1), -1, 3.0, None):
         with pytest.raises(ValueError):
             materialize(word)
         with pytest.raises(ValueError):

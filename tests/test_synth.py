@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from qfa_exact import (
+    AngleSelection,
+    AngleSpec,
     BinaryPromiseSpec,
     UnaryPromiseSpec,
     build_binary_Nl,
@@ -15,6 +17,7 @@ from qfa_exact import (
     select_angle,
     verify_exactness,
 )
+from qfa_exact.synth import build_for
 
 
 def smallest_window_j(N, l):
@@ -184,6 +187,30 @@ def test_build_unary_general_random_residue_sweep():
         machine = build_unary_general(N, r1, r2)
         report = verify_exactness(machine, UnaryPromiseSpec(N, r1, r2), i_max=3 * N)
         assert report.passed, (N, r1, r2, report)
+
+
+@pytest.mark.parametrize(
+    "spec,builder",
+    [
+        (UnaryPromiseSpec(7, 2, 5), lambda: build_unary_general(7, 2, 5)),
+        (UnaryPromiseSpec(16, 0, 1), lambda: build_unary_general(16, 0, 1)),
+        (BinaryPromiseSpec(4), lambda: build_binary_l(4)),
+        (BinaryPromiseSpec(10, 13), lambda: build_binary_Nl(13, 10)),
+    ],
+)
+def test_build_for_matches_the_family_builder(spec, builder):
+    machine, selection = build_for(spec)
+    assert machine.to_json() == builder().to_json()
+    if spec.N is None:
+        assert selection == AngleSelection(1, 4 * spec.l, 0.0, "quarter_turn")
+    else:
+        assert selection == select_angle(spec.N, spec.l if isinstance(spec, BinaryPromiseSpec) else spec.gap)
+    assert machine.angle == AngleSpec(selection.q, selection.D)
+
+
+def test_build_for_rejects_non_specs():
+    with pytest.raises(TypeError):
+        build_for({"family": "B", "l": 4})
 
 
 def test_build_binary_l_examples():
