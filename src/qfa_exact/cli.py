@@ -21,13 +21,7 @@ from .dfa import (
     certify_minimality_unary,
     claimed_size,
 )
-from .promise import (
-    DEFAULT_I_MAX,
-    DEFAULT_J_MAX,
-    BinaryPromiseSpec,
-    UnaryPromiseSpec,
-    spec_from_dict,
-)
+from .promise import DEFAULT_I_MAX, DEFAULT_J_MAX, FAMILIES, family_of, spec_from_dict
 from .verify import separation_table, write_separation_csv
 
 EXIT_OK = 0
@@ -47,43 +41,35 @@ def __getattr__(name):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-def _add_family_arguments(parser, include_residues=True):
-    parser.add_argument("--family", required=True, choices=["A", "B", "BN"],
+_FLAGS = {"N": "N", "l": "l", "r_yes": "r1", "r_no": "r2"}  # spec field -> its --flag
+
+
+def _add_family_arguments(parser):
+    parser.add_argument("--family", required=True, choices=list(FAMILIES),
                         help="A: unary mod-N residues; B: fixed b-surplus; BN: surplus mod N")
     parser.add_argument("--N", type=int, help="modulus (families A and BN)")
     parser.add_argument("--l", type=int, help="offset/surplus parameter")
-    if include_residues:
-        parser.add_argument("--r1", type=int, help="accepted residue (family A, with --r2)")
-        parser.add_argument("--r2", type=int, help="rejected residue (family A, with --r1)")
+    parser.add_argument("--r1", type=int, help="accepted residue (family A, with --r2)")
+    parser.add_argument("--r2", type=int, help="rejected residue (family A, with --r1)")
 
 
 def _spec_from_args(args):
-    """Validate the flag combination for the requested family."""
-    r1 = getattr(args, "r1", None)
-    r2 = getattr(args, "r2", None)
-    if args.family == "A":
-        if args.N is None:
-            raise ValueError("family A needs --N")
-        if (r1 is None) != (r2 is None):
-            raise ValueError("--r1 and --r2 must be given together")
-        if r1 is not None:
-            if args.l is not None:
-                raise ValueError("give either --l or --r1/--r2, not both")
-            return UnaryPromiseSpec(args.N, r1, r2)
-        if args.l is None:
-            raise ValueError("family A needs --l or --r1/--r2")
-        return UnaryPromiseSpec(args.N, 0, args.l)
-    if r1 is not None or r2 is not None:
-        raise ValueError("--r1/--r2 only apply to family A")
-    if args.family == "B":
-        if args.l is None:
-            raise ValueError("family B needs --l")
-        if args.N is not None:
-            raise ValueError("family B takes no --N")
-        return BinaryPromiseSpec(args.l)
-    if args.N is None or args.l is None:
-        raise ValueError("family BN needs --N and --l")
-    return BinaryPromiseSpec(args.l, args.N)
+    """Copy the given flags into the family's spec object and load it; for
+    family A, --l stands for --r1 0 --r2 l. Errors name the flag."""
+    given = {name: getattr(args, flag) for name, flag in _FLAGS.items() if getattr(args, flag) is not None}
+    if args.family == "A" and "l" in given:
+        if "r_yes" in given or "r_no" in given:
+            raise ValueError("give either --l or --r1/--r2, not both")
+        given.update(r_yes=0, r_no=given.pop("l"))
+    names = FAMILIES[args.family][1]
+    for name in names:
+        if name not in given:
+            flag = "--l or --r1/--r2" if name == "r_yes" and "r_no" not in given else f"--{_FLAGS[name]}"
+            raise ValueError(f"family {args.family} needs {flag}")
+    for name in given:
+        if name not in names:
+            raise ValueError(f"family {args.family} takes no --{_FLAGS[name]}")
+    return spec_from_dict({"family": args.family, **given})
 
 
 def _emit(text, output):
@@ -135,7 +121,7 @@ def cmd_dfa(args):
 
 def cmd_certify(args):
     spec = _spec_from_args(args)
-    if isinstance(spec, UnaryPromiseSpec):
+    if family_of(spec) == "A":
         certificate = certify_minimality_unary(
             spec.N, spec.gap, i_max=args.i_max, budget=args.budget
         )
@@ -148,13 +134,13 @@ def cmd_certify(args):
         payload["budget"] = args.budget
         payload["seed"] = args.seed
         text = json.dumps(payload, indent=2, sort_keys=True)
-        _emit(text, args.output)
     else:
         verdict = "Certified" if certificate.certified else "COUNTEREXAMPLE FOUND"
-        print(
+        text = (
             f"{verdict}: claimed_d={certificate.claimed_d}, "
             f"machines_checked={certificate.machines_checked}"
         )
+    _emit(text, args.output)
     if not certificate.certified:
         print(
             "counterexample DFA contradicts the minimality formula:\n"
@@ -224,7 +210,7 @@ def build_parser():
                            help="max candidate machines to enumerate")
     p_certify.add_argument("--format", choices=["text", "json"], default="text")
     p_certify.add_argument("--seed", type=int, help="echoed into JSON output")
-    p_certify.add_argument("-o", "--output", help="certificate path (JSON format only)")
+    p_certify.add_argument("-o", "--output", help="certificate path (default stdout)")
     p_certify.set_defaults(handler=cmd_certify)
 
     p_table = sub.add_parser("table", help="emit the separation table as CSV",
@@ -232,7 +218,9 @@ def build_parser():
     p_table.add_argument("--specs", required=True,
                          help="JSON file: array of spec objects, e.g. "
                               '[{"family": "A", "N": 7, "r_yes": 0, "r_no": 3}]')
-    p_table.add_argument("--i-max", type=int, default=DEFAULT_I_MAX)
+    p_table.add_argument("--i-max", type=int, default=DEFAULT_I_MAX,
+                         help="witness generator bound for B and BN rows; A rows "
+                              "certify on the sufficient bound 2d+2")
     p_table.add_argument("--j-max", type=int, default=DEFAULT_J_MAX)
     p_table.add_argument("--budget", type=int, default=DEFAULT_ENUMERATION_BUDGET,
                          help="certification budget; 0 disables certification")

@@ -17,9 +17,10 @@ from .promise import (
     Classification,
     UnaryPromiseSpec,
     enumerate_instances,
+    family_of,
     spec_to_dict,
 )
-from .words import as_int, as_runs
+from .words import as_alphabet, as_int, as_runs
 
 DEFAULT_ENUMERATION_BUDGET = 10**6
 
@@ -113,13 +114,9 @@ class Dfa:
     def from_dict(cls, data: dict) -> "Dfa":
         # the field types are checked here and not in __post_init__, which
         # the binary certificate runs once per transition table
-        alphabet = tuple(data["alphabet"])
-        for sym in alphabet:
-            if not isinstance(sym, str):
-                raise ValueError(f"alphabet symbol must be a str, got {sym!r}")
         return cls(
             num_states=as_int(data["states"], "states"),
-            alphabet=alphabet,
+            alphabet=as_alphabet(data["alphabet"]),
             delta=tuple(tuple(as_int(s, "transition target") for s in row) for row in data["delta"]),
             start=as_int(data["start"], "start state"),
             accepting=frozenset(as_int(s, "accepting state") for s in data["accepting"]),
@@ -190,11 +187,10 @@ def claimed_size(spec) -> tuple[int, str]:
     """The minimal DFA size for a promise spec and the name of the size
     formula that gives it: smallest_nondivisor(l) for `B`, otherwise
     smallest_modulus of the modulus and the offset or surplus."""
-    if isinstance(spec, UnaryPromiseSpec):
+    family = family_of(spec)
+    if family == "A":
         return smallest_modulus(spec.N, spec.gap), "smallest_modulus"
-    if not isinstance(spec, BinaryPromiseSpec):
-        raise TypeError(f"not a promise spec: {spec!r}")
-    if spec.N is None:
+    if family == "B":
         return smallest_nondivisor(spec.l), "smallest_nondivisor"
     return smallest_modulus(spec.N, spec.l), "smallest_modulus"
 
@@ -205,7 +201,7 @@ def build_min_dfa(spec) -> Dfa:
     steps back, so that the yes-lengths r_yes + iN end in state 0 and
     the no-lengths, l mod d steps further, do not."""
     d, _ = claimed_size(spec)
-    if isinstance(spec, BinaryPromiseSpec):
+    if family_of(spec) != "A":
         return build_binary_min_dfa(d)
     return Dfa(
         num_states=d,

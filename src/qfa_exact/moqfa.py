@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .words import as_int, as_runs
+from .words import as_alphabet, as_int, as_runs
 
 ORTHOGONALITY_TOLERANCE = 1e-10
 # |u^D - I| of a built machine grows linearly in D (at worst 1.9e-16 * D
@@ -194,7 +194,7 @@ class Moqfa:
         angle = data.get("angle")
         machine = cls(
             dim=as_int(data["dim"], "dim"),
-            alphabet=tuple(data["alphabet"]),
+            alphabet=as_alphabet(data["alphabet"]),
             u_left=u_left,
             u_sym=matrices,
             u_right=u_right,

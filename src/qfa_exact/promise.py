@@ -150,30 +150,43 @@ def enumerate_instances(spec, i_max: int = DEFAULT_I_MAX, j_max: int = DEFAULT_J
     return [(word, label) for _, word, label in keyed]
 
 
-def spec_to_dict(spec) -> dict:
-    """JSON form: exact field set depends on the family tag."""
+# Each family's spec class and its JSON fields, in constructor order.
+FAMILIES = {
+    "A": (UnaryPromiseSpec, ("N", "r_yes", "r_no")),
+    "B": (BinaryPromiseSpec, ("l",)),
+    "BN": (BinaryPromiseSpec, ("l", "N")),
+}
+
+
+def family_of(spec) -> str:
+    """The family tag of a promise spec: "A", "B" or "BN"."""
     if isinstance(spec, UnaryPromiseSpec):
-        return {"family": "A", "N": spec.N, "r_yes": spec.r_yes, "r_no": spec.r_no}
+        return "A"
     if isinstance(spec, BinaryPromiseSpec):
-        if spec.N is None:
-            return {"family": "B", "l": spec.l}
-        return {"family": "BN", "N": spec.N, "l": spec.l}
+        return "B" if spec.N is None else "BN"
     raise TypeError(f"not a promise spec: {spec!r}")
 
 
+def spec_to_dict(spec) -> dict:
+    """JSON form: the family tag and exactly that family's fields."""
+    family = family_of(spec)
+    return {"family": family, **{name: getattr(spec, name) for name in FAMILIES[family][1]}}
+
+
 def spec_from_dict(data: dict):
+    """Inverse of spec_to_dict; ValueError unless `data` has exactly one family's fields."""
     if not isinstance(data, dict):
         raise ValueError(f"spec object must be a JSON object, got {type(data).__name__}")
-    try:
-        family = data["family"]
-        if family == "A":
-            make, names = UnaryPromiseSpec, ("N", "r_yes", "r_no")
-        elif family == "B":
-            make, names = BinaryPromiseSpec, ("l",)
-        elif family == "BN":
-            make, names = BinaryPromiseSpec, ("l", "N")
-        else:
-            raise ValueError(f"unknown family {family!r}")
-        return make(*(as_int(data[name], f"spec field {name!r}") for name in names))
-    except KeyError as exc:
-        raise ValueError(f"spec object is missing field {exc}") from exc
+    if "family" not in data:
+        raise ValueError("spec object is missing field 'family'")
+    family = data["family"]
+    if not isinstance(family, str) or family not in FAMILIES:
+        raise ValueError(f"unknown family {family!r}")
+    make, names = FAMILIES[family]
+    for name in names:
+        if name not in data:
+            raise ValueError(f"spec object is missing field {name!r}")
+    for name in data:
+        if name != "family" and name not in names:
+            raise ValueError(f"family {family} spec has no field {name!r}")
+    return make(*(as_int(data[name], f"spec field {name!r}") for name in names))

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .moqfa import ORTHOGONALITY_TOLERANCE, AngleSpec, Moqfa
-from .promise import BinaryPromiseSpec, UnaryPromiseSpec
+from .promise import UnaryPromiseSpec, family_of
 
 LIFT_TOLERANCE = 1e-12
 
@@ -171,11 +171,10 @@ def build_for(spec) -> tuple[Moqfa, AngleSelection]:
     """The exact machine for any promise spec, with the angle selection it
     was built from; family `B` reads as AngleSelection(1, 4l, 0.0,
     "quarter_turn")."""
-    if isinstance(spec, UnaryPromiseSpec):
+    family = family_of(spec)
+    if family == "A":
         return _lifted_rotation(spec.N, spec.gap, ("a",), skip=(-spec.r_yes) % spec.N)
-    if not isinstance(spec, BinaryPromiseSpec):
-        raise TypeError(f"not a promise spec: {spec!r}")
-    if spec.N is None:
+    if family == "B":
         return build_binary_l(spec.l), AngleSelection(1, 4 * spec.l, 0.0, "quarter_turn")
     return _lifted_rotation(spec.N, spec.l, ("a", "b"))
 

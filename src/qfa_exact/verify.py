@@ -23,8 +23,8 @@ from .promise import (
     DEFAULT_I_MAX,
     DEFAULT_J_MAX,
     Classification,
-    UnaryPromiseSpec,
     enumerate_instances,
+    family_of,
     spec_to_dict,
 )
 
@@ -165,18 +165,18 @@ def separation_row(
     """Compute one table row; certification misses the budget quietly
     (dfa_certified stays False) rather than failing the row."""
     dfa_states, _ = claimed_size(spec)
-    unary = isinstance(spec, UnaryPromiseSpec)
+    family = family_of(spec)
     certified = False
     if certify_budget:
         try:
-            if unary:
+            if family == "A":
                 certificate = certify_minimality_unary(spec.N, spec.gap, budget=certify_budget)
             else:
                 certificate = certify_minimality_binary(spec, i_max, j_max, budget=certify_budget)
             certified = certificate.certified
         except EnumerationBudgetError:
             pass
-    qfa_states = 3 if unary or spec.N is not None else 2
+    qfa_states = 2 if family == "B" else 3
     return SeparationRow(spec=spec, qfa_states=qfa_states, dfa_states=dfa_states, dfa_certified=certified)
 
 
@@ -196,14 +196,11 @@ def separation_table(
 
 
 def _row_fields(row: SeparationRow) -> dict:
-    spec = row.spec
-    fields = {name: "" for name in SEPARATION_CSV_HEADER}
-    if isinstance(spec, UnaryPromiseSpec):
-        fields.update(family="A", N=spec.N, l=spec.gap, r1=spec.r_yes, r2=spec.r_no)
-    elif spec.N is None:
-        fields.update(family="B", l=spec.l)
-    else:
-        fields.update(family="BN", N=spec.N, l=spec.l)
+    fields = dict.fromkeys(SEPARATION_CSV_HEADER, "")
+    fields.update(spec_to_dict(row.spec))
+    if fields["family"] == "A":
+        # the CSV names the residues r1/r2 and gives their gap as l
+        fields.update(l=row.spec.gap, r1=fields.pop("r_yes"), r2=fields.pop("r_no"))
     fields.update(
         qfa_states=row.qfa_states,
         dfa_states=row.dfa_states,

@@ -75,6 +75,20 @@ def as_int(value, what: str) -> int:
         raise ValueError(f"{what} must be an integer, got {value!r}") from None
 
 
+def as_alphabet(symbols) -> tuple[str, ...]:
+    """A loaded alphabet as a tuple: it must be a list or tuple (a JSON
+    array) of distinct one-character strs, else ValueError. A repeated
+    symbol would shadow its later copies, and a longer one could never
+    be read from a str word."""
+    if (
+        isinstance(symbols, (list, tuple))
+        and all(isinstance(sym, str) and len(sym) == 1 for sym in symbols)
+        and len(set(symbols)) == len(symbols)
+    ):
+        return tuple(symbols)
+    raise ValueError(f"alphabet must be an array of distinct one-character strings, got {symbols!r}")
+
+
 def _runs_of(word):
     """A non-str word as runs: an integer word through the length rule of
     `as_runs`, anything else as given, so long as it is iterable."""

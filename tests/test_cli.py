@@ -1,9 +1,11 @@
+import itertools
 import json
+import re
 
 import pytest
 
-from qfa_exact import Dfa, Moqfa
-from qfa_exact.cli import main
+from qfa_exact import BinaryPromiseSpec, Dfa, Moqfa, UnaryPromiseSpec
+from qfa_exact.cli import _spec_from_args, build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -62,6 +64,42 @@ def test_synth_rejects_bad_parameters(capsys):
     assert code == 2
     code, _, _ = run_cli(capsys, "synth", "--family", "A", "--N", "7", "--l", "3", "--r1", "1", "--r2", "2")
     assert code == 2
+
+
+FLAG_VALUES = {"--N": "8", "--l": "3", "--r1": "2", "--r2": "5"}
+VALID_FLAG_SETS = {
+    ("A", ("--N", "--l")): UnaryPromiseSpec(8, 0, 3),
+    ("A", ("--N", "--r1", "--r2")): UnaryPromiseSpec(8, 2, 5),
+    ("B", ("--l",)): BinaryPromiseSpec(3),
+    ("BN", ("--N", "--l")): BinaryPromiseSpec(3, 8),
+}
+
+
+@pytest.mark.parametrize(
+    "family,flags",
+    [
+        pytest.param(family, flags, id=family + "".join(flags))
+        for family in ("A", "B", "BN")
+        for size in range(len(FLAG_VALUES) + 1)
+        for flags in itertools.combinations(FLAG_VALUES, size)
+    ],
+)
+def test_family_flags_map_to_their_spec_or_exit_2(capsys, family, flags):
+    argv = ["dfa", "--family", family, *(part for flag in flags for part in (flag, FLAG_VALUES[flag]))]
+    expected = VALID_FLAG_SETS.get((family, flags))
+    code, out, err = run_cli(capsys, *argv)
+    if expected is not None:
+        assert code == 0
+        assert _spec_from_args(build_parser().parse_args(argv)) == expected
+        return
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    named = set(re.findall(r"--(?:N|l|r1|r2)\b", err))
+    assert named, err
+    # each flag the message names was given and refused, or is one the
+    # family needs and was left out
+    needed = set().union(*(f for (fam, f) in VALID_FLAG_SETS if fam == family))
+    assert named <= set(flags) | needed, err
 
 
 def test_internal_synthesis_failure_exit_code(capsys, monkeypatch):
@@ -167,6 +205,34 @@ def test_certify_counterexample_exit_code(capsys):
     assert "counterexample DFA" in err
 
 
+def test_certify_text_verdict_goes_to_the_output_file(tmp_path, capsys):
+    code, stdout_verdict, _ = run_cli(capsys, "certify", "--family", "B", "--l", "4")
+    assert (code, stdout_verdict) == (0, "Certified: claimed_d=3, machines_checked=130\n")
+    out_path = tmp_path / "cert.txt"
+    code, out, err = run_cli(capsys, "certify", "--family", "B", "--l", "4", "-o", str(out_path))
+    assert (code, out, err) == (0, "", "")
+    assert out_path.read_text() == stdout_verdict
+
+
+def test_certify_residue_flags_certify_the_offset_form(capsys):
+    code, out, _ = run_cli(capsys, "certify", "--family", "A", "--N", "7", "--r1", "2", "--r2", "5",
+                           "--format", "json")
+    assert code == 0
+    assert json.loads(out)["spec"] == {"family": "A", "N": 7, "r_yes": 0, "r_no": 3}
+
+
+def test_table_witness_bound_applies_to_binary_rows_only(tmp_path, capsys):
+    # a unary row always certifies on the certifier's own bound 2d+2;
+    # `certify` with the same --i-max finds the counterexample
+    spec_path = tmp_path / "specs.json"
+    spec_path.write_text(json.dumps([{"family": "A", "N": 8, "r_yes": 0, "r_no": 2}, {"family": "B", "l": 4}]))
+    code, out, _ = run_cli(capsys, "table", "--specs", str(spec_path), "--i-max", "0")
+    assert code == 0
+    assert out.splitlines()[1:] == ["A,8,2,0,2,3,4,true", "B,,4,,,2,3,false"]
+    code, _, _ = run_cli(capsys, "certify", "--family", "A", "--N", "8", "--l", "2", "--i-max", "0")
+    assert code == 4
+
+
 def test_certify_json_format(tmp_path, capsys):
     out_path = tmp_path / "cert.json"
     code, out, _ = run_cli(
@@ -233,6 +299,9 @@ def test_table_missing_specs_file(capsys, tmp_path):
         {"family": "A", "N": "7", "r_yes": 0, "r_no": 3},
         {"family": "B", "l": True},
         {"family": "BN", "N": 15, "l": 5.0},
+        {"family": "B", "l": 4, "N": 7},
+        {"family": "A", "N": 7, "r_yes": 0, "r_no": 3, "l": 5},
+        {"family": ["A"]},
     ],
 )
 def test_table_rejects_non_integer_spec_fields(tmp_path, capsys, spec):
@@ -246,7 +315,9 @@ def test_table_rejects_non_integer_spec_fields(tmp_path, capsys, spec):
 
 
 @pytest.mark.parametrize(
-    "edit", ["period", "orthogonality", "accepting_bool", "dim_str", "D_bool", "D_float"]
+    "edit",
+    ["period", "orthogonality", "accepting_bool", "dim_str", "D_bool", "D_float",
+     "alphabet_repeated", "alphabet_object"],
 )
 def test_run_rejects_machine_files_that_lie(tmp_path, capsys, edit):
     machine_path = tmp_path / "machine.json"
@@ -260,6 +331,8 @@ def test_run_rejects_machine_files_that_lie(tmp_path, capsys, edit):
         data["accepting"] = [True]
     elif edit == "dim_str":
         data["dim"] = "3"
+    elif edit.startswith("alphabet"):
+        data["alphabet"] = ["a", "a"] if edit == "alphabet_repeated" else {"a": 1}
     else:
         data["angle"]["D"] = True if edit == "D_bool" else 7.0
     machine_path.write_text(json.dumps(data))
@@ -267,3 +340,5 @@ def test_run_rejects_machine_files_that_lie(tmp_path, capsys, edit):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+    if edit.startswith("alphabet"):
+        assert "distinct one-character strings" in err

@@ -432,7 +432,8 @@ def test_dfa_json_round_trip():
     "field,value",
     [("start", True), ("start", 0.0), ("delta", [[1.0, 2], [2, 0], [0, 1]]), ("delta", [[1, True], [2, 0], [0, 1]]),
      ("alphabet", [1, 2]), ("alphabet", ["a", None]), ("accepting", [0.0]), ("accepting", [False]),
-     ("states", True), ("states", "3")],
+     ("states", True), ("states", "3"), ("alphabet", ["a", "a"]), ("alphabet", ["ab", "c"]),
+     ("alphabet", {"a": 0, "b": 1}), ("alphabet", "ab")],
 )
 def test_dfa_loading_checks_field_types(field, value):
     data = build_binary_min_dfa(3).to_dict()

@@ -304,6 +304,14 @@ def test_loading_checks_integer_fields(field, value):
         Moqfa.from_json(json.dumps(data))
 
 
+@pytest.mark.parametrize("alphabet", [["a", "a"], {"a": 1}, ["aa"], "a", [None], [["a"]]])
+def test_loading_checks_the_alphabet(alphabet):
+    data = json.loads(build_unary(7, 3).to_json())
+    data["alphabet"] = alphabet
+    with pytest.raises(ValueError, match="alphabet must be an array of distinct one-character strings"):
+        Moqfa.from_json(json.dumps(data))
+
+
 def test_check_period_without_an_angle_is_zero():
     raw = Moqfa.from_dict({**build_unary(7, 3).to_dict(), "angle": None})
     assert raw.check_period() == 0.0

@@ -11,6 +11,7 @@ from qfa_exact import (
     spec_from_dict,
     spec_to_dict,
 )
+from qfa_exact.promise import family_of
 from qfa_exact.words import as_runs, materialize, word_length
 
 YES, NO, OUT = Classification.YES, Classification.NO, Classification.OUTSIDE
@@ -148,6 +149,7 @@ def test_enumerate_rejects_negative_bounds():
 def test_spec_serialization_round_trip(spec, expected):
     data = spec_to_dict(spec)
     assert data == expected
+    assert family_of(spec) == expected["family"]
     assert spec_from_dict(data) == spec
 
 
@@ -156,6 +158,32 @@ def test_spec_from_dict_rejects_bad_input():
         spec_from_dict({"family": "C"})
     with pytest.raises(ValueError):
         spec_from_dict({"family": "A", "N": 7})
+
+
+@pytest.mark.parametrize(
+    "data,message",
+    [
+        ({"family": "B", "l": 4, "N": 7}, "family B spec has no field 'N'"),
+        ({"family": "A", "N": 7, "r_yes": 0, "r_no": 3, "l": 5}, "family A spec has no field 'l'"),
+        ({"family": "BN", "N": 7, "l": 3, "r_yes": 0}, "family BN spec has no field 'r_yes'"),
+        ({"family": "A", "N": 7, "r_yes": 0}, "spec object is missing field 'r_no'"),
+        ({"N": 7, "l": 3}, "spec object is missing field 'family'"),
+        ({"family": ["A"], "N": 7, "r_yes": 0, "r_no": 3}, "unknown family \\['A'\\]"),
+        ({"family": None, "l": 4}, "unknown family None"),
+        ({"family": 1, "l": 4}, "unknown family 1"),
+    ],
+)
+def test_spec_from_dict_refuses_other_field_sets(data, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        spec_from_dict(data)
+
+
+@pytest.mark.parametrize("bad", [None, 7, "A", {"family": "B", "l": 4}, (4,)])
+def test_family_of_rejects_non_specs(bad):
+    with pytest.raises(TypeError, match="not a promise spec"):
+        family_of(bad)
+    with pytest.raises(TypeError, match="not a promise spec"):
+        spec_to_dict(bad)
 
 
 def test_as_runs_forms():
