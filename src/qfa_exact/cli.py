@@ -10,7 +10,6 @@ size formulas - investigate loudly), 5 enumeration budget exceeded.
 """
 
 import argparse
-import json
 import sys
 
 from .dfa import (
@@ -23,6 +22,7 @@ from .dfa import (
 )
 from .promise import DEFAULT_I_MAX, DEFAULT_J_MAX, FAMILIES, family_of, spec_from_dict
 from .verify import separation_table, write_separation_csv
+from .words import dump_json, load_json
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -130,10 +130,7 @@ def cmd_certify(args):
             spec, args.i_max, args.j_max, budget=args.budget
         )
     if args.format == "json":
-        payload = certificate.to_dict()
-        payload["budget"] = args.budget
-        payload["seed"] = args.seed
-        text = json.dumps(payload, indent=2, sort_keys=True)
+        text = dump_json({**certificate.to_dict(), "budget": args.budget, "seed": args.seed})
     else:
         verdict = "Certified" if certificate.certified else "COUNTEREXAMPLE FOUND"
         text = (
@@ -151,12 +148,15 @@ def cmd_certify(args):
     return EXIT_OK
 
 
+def _specs_from_data(data):
+    if not isinstance(data, list):
+        raise ValueError("spec file must hold a JSON array of spec objects")
+    return [spec_from_dict(item) for item in data]
+
+
 def cmd_table(args):
     with open(args.specs, encoding="utf-8") as handle:
-        raw = json.load(handle)
-    if not isinstance(raw, list):
-        raise ValueError("spec file must hold a JSON array of spec objects")
-    specs = [spec_from_dict(item) for item in raw]
+        specs = load_json(handle.read(), "spec list", _specs_from_data)
     rows = separation_table(
         specs,
         i_max=args.i_max,
@@ -178,52 +178,48 @@ def build_parser():
         description="Exact quantum finite automata vs minimal DFAs for modular promise problems",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    defaults = argparse.ArgumentDefaultsHelpFormatter
 
-    p_synth = sub.add_parser("synth", help="synthesize a machine and emit its JSON",
-                             formatter_class=defaults)
+    p_synth = sub.add_parser("synth", help="synthesize a machine and emit its JSON")
     _add_family_arguments(p_synth)
     p_synth.add_argument("-o", "--output", help="machine JSON path (default stdout)")
     p_synth.set_defaults(handler=cmd_synth)
 
-    p_run = sub.add_parser("run", help="acceptance probability of a word",
-                           formatter_class=defaults)
+    p_run = sub.add_parser("run", help="acceptance probability of a word")
     p_run.add_argument("--machine", required=True, help="machine JSON file")
     p_run.add_argument("word", nargs="?", help="input word, e.g. aabb")
     p_run.add_argument("--length", type=int, help="unary word given as its length")
     p_run.set_defaults(handler=cmd_run)
 
-    p_dfa = sub.add_parser("dfa", help="build the minimal classical solver",
-                           formatter_class=defaults)
+    p_dfa = sub.add_parser("dfa", help="build the minimal classical solver")
     _add_family_arguments(p_dfa)
     p_dfa.add_argument("-o", "--output", help="DFA JSON path (default stdout)")
     p_dfa.set_defaults(handler=cmd_dfa)
 
-    p_certify = sub.add_parser("certify", help="exhaustively check the minimality formula",
-                               formatter_class=defaults)
+    p_certify = sub.add_parser("certify", help="exhaustively check the minimality formula")
     _add_family_arguments(p_certify)
     p_certify.add_argument("--i-max", type=int, default=DEFAULT_I_MAX,
-                           help="witness generator bound")
+                           help="witness generator bound (default: %(default)s)")
     p_certify.add_argument("--j-max", type=int, default=DEFAULT_J_MAX,
-                           help="witness modular-repeat bound (family BN)")
+                           help="witness modular-repeat bound (family BN) (default: %(default)s)")
     p_certify.add_argument("--budget", type=int, default=DEFAULT_ENUMERATION_BUDGET,
-                           help="max candidate machines to enumerate")
-    p_certify.add_argument("--format", choices=["text", "json"], default="text")
+                           help="max candidate machines to enumerate (default: %(default)s)")
+    p_certify.add_argument("--format", choices=["text", "json"], default="text",
+                           help="verdict format (default: %(default)s)")
     p_certify.add_argument("--seed", type=int, help="echoed into JSON output")
     p_certify.add_argument("-o", "--output", help="certificate path (default stdout)")
     p_certify.set_defaults(handler=cmd_certify)
 
-    p_table = sub.add_parser("table", help="emit the separation table as CSV",
-                             formatter_class=defaults)
+    p_table = sub.add_parser("table", help="emit the separation table as CSV")
     p_table.add_argument("--specs", required=True,
                          help="JSON file: array of spec objects, e.g. "
                               '[{"family": "A", "N": 7, "r_yes": 0, "r_no": 3}]')
     p_table.add_argument("--i-max", type=int, default=DEFAULT_I_MAX,
                          help="witness generator bound for B and BN rows; A rows "
-                              "certify on the sufficient bound 2d+2")
-    p_table.add_argument("--j-max", type=int, default=DEFAULT_J_MAX)
+                              "certify on the sufficient bound 2d+2 (default: %(default)s)")
+    p_table.add_argument("--j-max", type=int, default=DEFAULT_J_MAX,
+                         help="witness modular-repeat bound for BN rows (default: %(default)s)")
     p_table.add_argument("--budget", type=int, default=DEFAULT_ENUMERATION_BUDGET,
-                         help="certification budget; 0 disables certification")
+                         help="certification budget; 0 disables certification (default: %(default)s)")
     p_table.add_argument("-o", "--output", help="CSV path (default stdout)")
     p_table.set_defaults(handler=cmd_table)
 

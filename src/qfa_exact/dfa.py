@@ -7,7 +7,6 @@ re-prove minimality by enumerating every smaller machine and watching
 each one misclassify some promise instance.
 """
 
-import json
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product
@@ -20,7 +19,7 @@ from .promise import (
     family_of,
     spec_to_dict,
 )
-from .words import as_alphabet, as_int, as_runs
+from .words import as_alphabet, as_int, as_runs, dump_json, load_json, record_dict
 
 DEFAULT_ENUMERATION_BUDGET = 10**6
 
@@ -108,7 +107,7 @@ class Dfa:
         }
 
     def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
+        return dump_json(self.to_dict(), indent)
 
     @classmethod
     def from_dict(cls, data: dict) -> "Dfa":
@@ -124,14 +123,7 @@ class Dfa:
 
     @classmethod
     def from_json(cls, text: str) -> "Dfa":
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"malformed DFA JSON: {exc}") from exc
-        try:
-            return cls.from_dict(data)
-        except (KeyError, TypeError) as exc:
-            raise ValueError(f"DFA JSON missing or malformed field: {exc}") from exc
+        return load_json(text, "DFA", cls.from_dict)
 
 
 def run_dfa(dfa: Dfa, word) -> bool:
@@ -256,17 +248,13 @@ class MinimalityCertificate:
     counterexample_words: tuple | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "spec": spec_to_dict(self.spec),
-            "claimed_d": self.claimed_d,
-            "witness_bounds": list(self.witness_bounds),
-            "machines_checked": self.machines_checked,
-            "certified": self.certified,
-            "counterexample": None if self.counterexample is None else self.counterexample.to_dict(),
-            "counterexample_words": None
-            if self.counterexample_words is None
-            else [list(w) if isinstance(w, tuple) else w for w in self.counterexample_words],
-        }
+        return record_dict(
+            self,
+            spec=spec_to_dict,
+            witness_bounds=list,
+            counterexample=Dfa.to_dict,
+            counterexample_words=lambda words: [list(w) if isinstance(w, tuple) else w for w in words],
+        )
 
 
 def _check_budget(total: int, budget: int, d: int) -> None:

@@ -7,13 +7,12 @@ accepting basis states decides acceptance. All machines built here are
 real-valued; rotations are the only nontrivial ingredient.
 """
 
-import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .words import as_alphabet, as_int, as_runs
+from .words import as_alphabet, as_int, as_runs, dump_json, int_fields, load_json
 
 ORTHOGONALITY_TOLERANCE = 1e-10
 # |u^D - I| of a built machine grows linearly in D (at worst 1.9e-16 * D
@@ -36,10 +35,7 @@ class AngleSpec:
     D: int
 
     def __post_init__(self):
-        for name in ("q", "D"):
-            value = getattr(self, name)
-            if type(value) is not int:
-                object.__setattr__(self, name, as_int(value, f"angle.{name}"))
+        int_fields(self, ("q", "D"), "angle.")
         if self.D < 1:
             raise ValueError(f"denominator must be positive, got {self.D}")
         if self.q < 0:
@@ -184,7 +180,7 @@ class Moqfa:
         }
 
     def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
+        return dump_json(self.to_dict(), indent)
 
     @classmethod
     def from_dict(cls, data: dict) -> "Moqfa":
@@ -220,11 +216,4 @@ class Moqfa:
 
     @classmethod
     def from_json(cls, text: str) -> "Moqfa":
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"malformed machine JSON: {exc}") from exc
-        try:
-            return cls.from_dict(data)
-        except (KeyError, TypeError) as exc:
-            raise ValueError(f"machine JSON missing or malformed field: {exc}") from exc
+        return load_json(text, "machine", cls.from_dict)

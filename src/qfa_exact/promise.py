@@ -11,7 +11,7 @@ import enum
 from dataclasses import dataclass
 from operator import itemgetter
 
-from .words import as_int, as_runs
+from .words import as_int, as_runs, int_fields
 
 DEFAULT_I_MAX = 64
 DEFAULT_J_MAX = 8
@@ -21,15 +21,6 @@ class Classification(enum.Enum):
     YES = "yes"
     NO = "no"
     OUTSIDE = "outside"
-
-
-def _check_integers(spec, names) -> None:
-    """Store each named field of a frozen spec as an int; a bool or a
-    non-integer raises ValueError."""
-    for name in names:
-        value = getattr(spec, name)
-        if type(value) is not int:
-            object.__setattr__(spec, name, as_int(value, name))
 
 
 @dataclass(frozen=True)
@@ -45,7 +36,7 @@ class UnaryPromiseSpec:
     r_no: int
 
     def __post_init__(self):
-        _check_integers(self, ("N", "r_yes", "r_no"))
+        int_fields(self, ("N", "r_yes", "r_no"))
         if self.N < 2:
             raise ValueError(f"modulus must be at least 2, got {self.N}")
         for name in ("r_yes", "r_no"):
@@ -73,7 +64,7 @@ class BinaryPromiseSpec:
     N: int | None = None
 
     def __post_init__(self):
-        _check_integers(self, ("l",) if self.N is None else ("l", "N"))
+        int_fields(self, ("l",) if self.N is None else ("l", "N"))
         if self.l < 1:
             raise ValueError(f"surplus must be positive, got {self.l}")
         if self.N is not None and not self.l < self.N:
@@ -122,9 +113,10 @@ def enumerate_instances(spec, i_max: int = DEFAULT_I_MAX, j_max: int = DEFAULT_J
     pairs. Sorted by word length, ties broken lexicographically; every
     word is a yes- or no-instance, never outside.
     """
+    family = family_of(spec)
     if i_max < 0 or j_max < 0:
         raise ValueError("instance bounds must be nonnegative")
-    if isinstance(spec, UnaryPromiseSpec):
+    if family == "A":
         items = []
         for i in range(i_max + 1):
             items.append((i * spec.N + spec.r_yes, Classification.YES))
@@ -141,7 +133,7 @@ def enumerate_instances(spec, i_max: int = DEFAULT_I_MAX, j_max: int = DEFAULT_J
     keyed = []
     for i in range(i_max + 1):
         add(i, i, Classification.YES)
-        if spec.N is None:
+        if family == "B":
             add(i, i + spec.l, Classification.NO)
         else:
             for j in range(j_max + 1):

@@ -7,7 +7,6 @@ the quantum-vs-DFA state-count table.
 """
 
 import csv
-import json
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -27,6 +26,7 @@ from .promise import (
     family_of,
     spec_to_dict,
 )
+from .words import dump_json, record_dict
 
 if TYPE_CHECKING:  # the harness only calls a machine's methods; no numpy import
     from .moqfa import Moqfa
@@ -53,22 +53,10 @@ class ExactnessReport:
     seed: int | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "spec": spec_to_dict(self.spec),
-            "machine_states": self.machine_states,
-            "yes_checked": self.yes_checked,
-            "no_checked": self.no_checked,
-            "max_yes_deficit": self.max_yes_deficit,
-            "max_no_leak": self.max_no_leak,
-            "passed": self.passed,
-            "tolerance": self.tolerance,
-            "i_max": self.i_max,
-            "j_max": self.j_max,
-            "seed": self.seed,
-        }
+        return record_dict(self, spec=spec_to_dict)
 
     def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
+        return dump_json(self.to_dict(), indent)
 
 
 def _witness_probabilities(machine: "Moqfa", spec, i_max: int, j_max: int):

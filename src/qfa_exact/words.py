@@ -1,4 +1,5 @@
-"""Word representations shared by the quantum and classical simulators.
+"""Word representations shared by the quantum and classical simulators,
+and the JSON codec with the field checks that every loader shares.
 
 A word can be given three ways:
 
@@ -10,8 +11,13 @@ A word can be given three ways:
 
 Run-length pairs are the cheap form: promise instances with millions of
 repeated symbols never need to be materialized.
+
+All JSON goes through `load_json` and `dump_json`, and loaders check
+untrusted fields with `as_int`, `as_alphabet` and `int_fields`.
 """
 
+import json
+from dataclasses import fields
 from itertools import groupby
 from operator import index
 
@@ -75,6 +81,15 @@ def as_int(value, what: str) -> int:
         raise ValueError(f"{what} must be an integer, got {value!r}") from None
 
 
+def int_fields(record, names, prefix: str = "") -> None:
+    """Store each named field of a frozen dataclass record as an int,
+    through `as_int`; the error names the field after `prefix`."""
+    for name in names:
+        value = getattr(record, name)
+        if type(value) is not int:
+            object.__setattr__(record, name, as_int(value, prefix + name))
+
+
 def as_alphabet(symbols) -> tuple[str, ...]:
     """A loaded alphabet as a tuple: it must be a list or tuple (a JSON
     array) of distinct one-character strs, else ValueError. A repeated
@@ -112,3 +127,32 @@ def word_length(word) -> int:
     if isinstance(word, str):
         return len(word)
     return sum(count for _, count in _runs_of(word))
+
+
+def load_json(text, what: str, build):
+    """`build` applied to the decoded `text`. Undecodable or too deeply
+    nested text, and a KeyError, TypeError or OverflowError from `build`,
+    become a ValueError naming `what`; `build`'s ValueErrors pass through."""
+    try:
+        data = json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise ValueError(f"malformed {what} JSON: {exc}") from exc
+    try:
+        return build(data)
+    except (KeyError, TypeError, OverflowError) as exc:
+        raise ValueError(f"{what} JSON missing or malformed field: {exc}") from exc
+
+
+def dump_json(data, indent: int | None = 2) -> str:
+    """The JSON text of `data`, keys sorted, so equal data gives equal bytes."""
+    return json.dumps(data, indent=indent, sort_keys=True)
+
+
+def record_dict(record, **convert) -> dict:
+    """The fields of a dataclass record by name; each value whose field is
+    named in `convert` goes through that function unless it is None."""
+    data = {f.name: getattr(record, f.name) for f in fields(record)}
+    for name, to_json_value in convert.items():
+        if data[name] is not None:
+            data[name] = to_json_value(data[name])
+    return data

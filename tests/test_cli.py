@@ -287,6 +287,32 @@ def test_table_respects_thread_env(tmp_path, capsys, monkeypatch):
         assert run_cli(capsys, "table", "--specs", str(spec_path)) == (0, unset, "")
 
 
+@pytest.mark.parametrize(
+    "command,defaults",
+    [
+        ("synth", []),
+        ("run", []),
+        ("dfa", []),
+        ("certify", ["--i-max I_MAX witness generator bound (default: 64)",
+                     "--j-max J_MAX witness modular-repeat bound (family BN) (default: 8)",
+                     "--budget BUDGET max candidate machines to enumerate (default: 1000000)",
+                     "--format {text,json} verdict format (default: text)"]),
+        ("table", ["sufficient bound 2d+2 (default: 64)", "for BN rows (default: 8)",
+                   "0 disables certification (default: 1000000)"]),
+    ],
+)
+def test_help_states_each_default_once(capsys, command, defaults):
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, "--help"])
+    assert exit_info.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())  # undo argparse's wrapping
+    assert "(default: None)" not in text
+    for shown in defaults:
+        assert shown in text
+    # one "default" per option that has one: the real defaults, and -o's stdout
+    assert text.count("default") == len(defaults) + (command in ("synth", "dfa", "certify", "table"))
+
+
 def test_table_missing_specs_file(capsys, tmp_path):
     code, _, err = run_cli(capsys, "table", "--specs", str(tmp_path / "nope.json"))
     assert code == 2

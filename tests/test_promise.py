@@ -12,7 +12,7 @@ from qfa_exact import (
     spec_to_dict,
 )
 from qfa_exact.promise import family_of
-from qfa_exact.words import as_runs, materialize, word_length
+from qfa_exact.words import as_runs, dump_json, load_json, materialize, word_length
 
 YES, NO, OUT = Classification.YES, Classification.NO, Classification.OUTSIDE
 
@@ -184,6 +184,35 @@ def test_family_of_rejects_non_specs(bad):
         family_of(bad)
     with pytest.raises(TypeError, match="not a promise spec"):
         spec_to_dict(bad)
+    with pytest.raises(TypeError, match="not a promise spec"):
+        enumerate_instances(bad)
+
+
+def _refuse(data):
+    raise ValueError("the builder's own message")
+
+
+@pytest.mark.parametrize(
+    "text,build,message",
+    [
+        ("[" * 100_000, list, "^malformed thing JSON: maximum recursion depth"),
+        ("{oops", dict, "^malformed thing JSON: Expecting property name"),
+        ("1" + "0" * 5000, int, "^malformed thing JSON: Exceeds the limit"),
+        ("{}", lambda data: data["x"], "^thing JSON missing or malformed field: 'x'$"),
+        ("[1]", lambda data: data["x"], "^thing JSON missing or malformed field: list indices"),
+        (str(10**400), float, "^thing JSON missing or malformed field: int too large to convert to float$"),
+        ("{}", _refuse, "^the builder's own message$"),
+    ],
+)
+def test_load_json_raises_only_value_errors(text, build, message):
+    with pytest.raises(ValueError, match=message):
+        load_json(text, "thing", build)
+
+
+def test_dump_json_sorts_keys():
+    data = {"b": [1, 2], "a": {"d": None, "c": True}}
+    assert dump_json(data, indent=None) == '{"a": {"c": true, "d": null}, "b": [1, 2]}'
+    assert dump_json(data) == '{\n  "a": {\n    "c": true,\n    "d": null\n  },\n  "b": [\n    1,\n    2\n  ]\n}'
 
 
 def test_as_runs_forms():

@@ -1,5 +1,5 @@
 import io
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
@@ -15,6 +15,7 @@ from qfa_exact import (
     build_unary,
     build_unary_general,
     build_unary_min_dfa,
+    certify_minimality_binary,
     cross_check,
     enumerate_instances,
     separation_row,
@@ -70,6 +71,19 @@ def test_report_serialization_echoes_run_parameters():
     assert data["seed"] == 42
     assert data["passed"] is True
     assert "max_no_leak" in report.to_json()
+
+
+def test_record_json_keys_are_the_field_names():
+    # every field reaches the JSON, so one added later cannot go missing
+    report = verify_exactness(build_unary(7, 3), UnaryPromiseSpec(7, 0, 3), i_max=2)
+    certificate = certify_minimality_binary(BinaryPromiseSpec(4), 0, 0)
+    assert certificate.counterexample is not None
+    for record in (report, certificate):
+        assert list(record.to_dict()) == [f.name for f in fields(record)]
+    data = certificate.to_dict()
+    assert data["counterexample"] == certificate.counterexample.to_dict()
+    assert data["witness_bounds"] == [0, 0]
+    assert data["counterexample_words"] == [list(w) for w in certificate.counterexample_words]
 
 
 def test_cross_check_agreements():
