@@ -2,9 +2,11 @@
 problems, their minimal classical counterparts, and the verification
 harness that pins the quantum-vs-classical state-count separation.
 
-The numpy-backed modules (`moqfa`, `synth`) load on first use of one of
-their names, so the classical side (`promise`, `dfa`, `verify`) imports
-without numpy."""
+The quantum side (`moqfa`, `synth`) loads on first use of one of its
+names. No module imports numpy: machines are built, loaded and run in
+plain Python, and numpy loads only when a caller reads an ndarray view
+of a machine (`Moqfa.u_left`, `u_sym`, `u_right`, `Moqfa.final_state`,
+`AngleSpec.rotation`)."""
 
 import importlib
 

@@ -32,8 +32,8 @@ EXIT_BUDGET = 5
 
 
 def __getattr__(name):
-    # `synth` (and numpy with it) loads only for the commands that build or
-    # run a machine; `cli.synth` still resolves for callers and tests
+    # `synth` loads only for the commands that build or run a machine;
+    # `cli.synth` still resolves for callers and tests
     if name == "synth":
         from . import synth
 

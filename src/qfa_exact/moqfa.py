@@ -5,20 +5,27 @@ left-marker matrix fires first, then one matrix per input symbol, then
 the right-marker matrix, and a single projective measurement on the
 accepting basis states decides acceptance. All machines built here are
 real-valued; rotations are the only nontrivial ingredient.
+
+The matrices are 2x2 or 3x3, so evaluation is plain Python on tuples of
+float rows, and numpy is never needed to build, load or run a machine.
+It loads on the first read of an ndarray view: `Moqfa.u_left`, `u_sym`,
+`u_right`, `Moqfa.final_state` and `AngleSpec.rotation`.
 """
 
 import math
 from dataclasses import dataclass, field
-
-import numpy as np
+from functools import lru_cache
+from operator import mul
 
 from .words import as_alphabet, as_int, as_runs, dump_json, int_fields, load_json
 
 ORTHOGONALITY_TOLERANCE = 1e-10
 # |u^D - I| of a built machine grows linearly in D (at worst 1.9e-16 * D
 # over built machines with D up to 10**6); a loaded machine may drift by
-# this much per step on top of the orthogonality slack
+# this much per step on top of the orthogonality slack, up to a cap far
+# below the 2 that any false period reaches
 PERIOD_DRIFT_PER_STEP = 1e-14
+PERIOD_TOLERANCE_CAP = 1e-6
 
 
 @dataclass(frozen=True)
@@ -50,11 +57,122 @@ class AngleSpec:
         """Integer r in [0, D) with k*theta equivalent to 2*pi*r/D."""
         return (k * self.q) % self.D
 
-    def rotation(self, k: int = 1) -> np.ndarray:
-        """2x2 counterclockwise rotation by k*theta, exactly reduced."""
+    def cos_sin(self, k: int = 1) -> tuple[float, float]:
+        """(cos, sin) of k*theta, exactly reduced."""
         angle = 2.0 * math.pi * self.reduced_units(k) / self.D
-        c, s = math.cos(angle), math.sin(angle)
-        return np.array([[c, -s], [s, c]])
+        return math.cos(angle), math.sin(angle)
+
+    def rotation(self, k: int = 1):
+        """2x2 counterclockwise rotation by k*theta, exactly reduced, as an ndarray."""
+        return _ndarray(turn(2, *self.cos_sin(k)), writeable=True)
+
+
+# -- matrices as tuples of float rows -----------------------------------------
+@lru_cache(maxsize=None)
+def identity(dim: int) -> tuple[tuple[float, ...], ...]:
+    return tuple(tuple(float(i == j) for j in range(dim)) for i in range(dim))
+
+
+def turn(dim: int, c: float, s: float) -> tuple[tuple[float, ...], ...]:
+    """The identity with its last two axes turned by [[c, -s], [s, c]]."""
+    *fixed, x, y = identity(dim)
+    return (*fixed, (*x[:-2], c, -s), (*y[:-2], s, c))
+
+
+def transpose(m):
+    return tuple(zip(*m))
+
+
+def apply(m, v) -> tuple[float, ...]:
+    """Matrix times vector."""
+    return tuple([sum(map(mul, row, v)) for row in m])
+
+
+def matmul(a, b):
+    columns = transpose(b)
+    return tuple([tuple([sum(map(mul, row, col)) for col in columns]) for row in a])
+
+
+def _power(m, n: int):
+    """m**n for n >= 1 by repeated squaring, in the order numpy's matrix_power uses."""
+    square = result = None
+    while n:
+        square = m if square is None else matmul(square, square)
+        n, bit = divmod(n, 2)
+        if bit:
+            result = square if result is None else matmul(result, square)
+    return result
+
+
+def _off_identity(m):
+    """|m - I|, entry by entry."""
+    return [abs(x - (i == j)) for i, row in enumerate(m) for j, x in enumerate(row)]
+
+
+def _gram_off_identity(m):
+    """|m^T m - I| on and above the diagonal; m^T m is symmetric."""
+    columns = transpose(m)
+    n = len(columns)
+    return [abs(sum(map(mul, columns[i], columns[j])) - (i == j)) for i in range(n) for j in range(i, n)]
+
+
+def _worst(deviations) -> float:
+    """The largest deviation, nan if any is nan (max() would drop it), 0.0 if none."""
+    if any(map(math.isnan, deviations)):
+        return math.nan
+    return max(deviations, default=0.0)
+
+
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _as_rows(matrix, dim: int, name: str):
+    """`matrix` (nested lists or tuples, or an ndarray) as a tuple of `dim`
+    float rows of `dim` entries; entries must be non-bool ints or floats."""
+    if hasattr(matrix, "tolist"):
+        matrix = matrix.tolist()
+    if isinstance(matrix, (list, tuple)) and len(matrix) == dim and all(
+        isinstance(row, (list, tuple)) and len(row) == dim
+        and (set(map(type, row)) <= {float, int} or all(map(_is_number, row)))
+        for row in matrix
+    ):
+        return tuple([tuple(map(float, row)) for row in matrix])
+    raise ValueError(f"matrix {name!r} must be a {dim}x{dim} array of numbers")
+
+
+def _ndarray(rows, writeable=False):
+    import numpy as np
+
+    array = np.array(rows, dtype=float)
+    array.flags.writeable = writeable
+    return array
+
+
+class _ArrayView:
+    """A matrix field kept as float rows under `_<name>`. Reading the field
+    gives read-only ndarrays (a dict of them for `u_sym`), made on the
+    first read; raising AttributeError on the class keeps the field
+    required in the dataclass."""
+
+    def __set_name__(self, owner, name):
+        self.name, self.rows, self.view = name, "_" + name, "_" + name + "_view"
+
+    def __get__(self, machine, owner=None):
+        if machine is None:
+            raise AttributeError(self.name)
+        cache = machine.__dict__
+        if self.view not in cache:
+            rows = cache[self.rows]
+            cache[self.view] = (
+                {sym: _ndarray(m) for sym, m in rows.items()}
+                if isinstance(rows, dict) else _ndarray(rows)
+            )
+        return cache[self.view]
+
+    def __set__(self, machine, value):
+        machine.__dict__[self.rows] = value
+        machine.__dict__.pop(self.view, None)
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,50 +182,72 @@ class Moqfa:
 
     `angle` records the rational angle the per-symbol rotations were
     generated from. When present, every per-symbol matrix has period
-    `angle.D`, so a run of n equal symbols costs one matrix power with
-    exponent n mod D; without it simulation falls back to plain powering.
+    `angle.D`, so run counts are reduced mod D. When moreover each symbol
+    matrix equals, entry for entry, the identity with its last two axes
+    turned by `angle.rotation(1)` or by its transpose (as every builder
+    makes it), a word is one rotation by t*theta with t the signed sum of
+    its counts mod D, computed by one exactly-reduced cos/sin. Any other
+    machine multiplies matrix powers, taken by repeated squaring.
 
-    Machines are immutable; the only internal state is a memo of symbol
-    powers, kept only when `angle` bounds its keys, so concurrent runs at
-    worst recompute an entry. The memo is not an init field, so
+    Machines are immutable; the only internal state is a memo of final
+    states by t (closed form) or of symbol powers (other machines), kept
+    only when `angle` bounds its keys, so concurrent runs at worst
+    recompute an entry. The memo is not an init field, so
     `dataclasses.replace` starts the copy with an empty one.
     """
 
     dim: int
     alphabet: tuple[str, ...]
-    u_left: np.ndarray
-    u_sym: dict[str, np.ndarray]
-    u_right: np.ndarray
+    u_left: "ndarray" = _ArrayView()
+    u_sym: "dict[str, ndarray]" = _ArrayView()
+    u_right: "ndarray" = _ArrayView()
     accepting: frozenset[int]
     angle: AngleSpec | None = None
     _powers: dict = field(init=False, default_factory=dict, repr=False)
+    _turns: dict | None = field(init=False, default=None, repr=False)
+    _empty_word_state: tuple = field(init=False, default=(), repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "alphabet", tuple(self.alphabet))
         object.__setattr__(self, "accepting", frozenset(self.accepting))
-        object.__setattr__(self, "u_left", np.asarray(self.u_left, dtype=float))
-        object.__setattr__(self, "u_right", np.asarray(self.u_right, dtype=float))
+        if not hasattr(self._u_sym, "items"):
+            raise ValueError("per-symbol matrices must map each symbol to its matrix")
+        object.__setattr__(self, "u_left", _as_rows(self._u_left, self.dim, "lmark"))
+        object.__setattr__(self, "u_right", _as_rows(self._u_right, self.dim, "rmark"))
         object.__setattr__(
-            self,
-            "u_sym",
-            {sym: np.asarray(m, dtype=float) for sym, m in self.u_sym.items()},
+            self, "u_sym", {sym: _as_rows(m, self.dim, sym) for sym, m in self._u_sym.items()}
         )
-        for m in (self.u_left, self.u_right, *self.u_sym.values()):
-            if m.shape != (self.dim, self.dim):
-                raise ValueError(f"matrix shape {m.shape} != ({self.dim}, {self.dim})")
-        if set(self.u_sym) != set(self.alphabet):
+        if set(self._u_sym) != set(self.alphabet):
             raise ValueError("per-symbol matrices must cover the alphabet exactly")
         if not self.accepting <= set(range(self.dim)):
             raise ValueError(f"accepting set {set(self.accepting)} out of range")
+        object.__setattr__(self, "_turns", self._closed_form_turns())
+        object.__setattr__(self, "_empty_word_state", apply(self._u_right, self._start()))
 
-    def _symbol_power(self, sym: str, count: int) -> np.ndarray:
+    def _closed_form_turns(self) -> dict | None:
+        """{symbol: +1 or -1} when each symbol matrix is the angle's turn
+        (+1) or its transpose (-1), entry for entry; else None."""
+        if self.angle is None or self.dim < 2:
+            return None
+        c, s = self.angle.cos_sin(1)
+        forward, backward = turn(self.dim, c, s), turn(self.dim, c, -s)
+        turns = {}
+        for sym, m in self._u_sym.items():
+            if m == forward:
+                turns[sym] = 1
+            elif m == backward:
+                turns[sym] = -1
+            else:
+                return None
+        return turns
+
+    def _symbol_power(self, sym: str, count: int):
         if self.angle is None:
-            return np.linalg.matrix_power(self.u_sym[sym], count)
+            return _power(self._u_sym[sym], count)
         key = (sym, count)
         power = self._powers.get(key)
         if power is None:
-            power = np.linalg.matrix_power(self.u_sym[sym], count)
-            self._powers[key] = power
+            power = self._powers[key] = _power(self._u_sym[sym], count)
         return power
 
     def reduced_runs(self, word) -> tuple[tuple[str, int], ...]:
@@ -123,26 +263,42 @@ class Moqfa:
         D = self.angle.D
         return tuple([(sym, r) for sym, count in runs if (r := count % D)])
 
-    def final_state(self, word) -> np.ndarray:
-        """State vector after left-marker, word, right-marker on basis state 0."""
-        return self._evolve(self.reduced_runs(word))
+    def final_state(self, word):
+        """State vector after left-marker, word, right-marker on basis state
+        0, as an ndarray."""
+        return _ndarray(self._evolve(self.reduced_runs(word)), writeable=True)
 
     def accept_probability(self, word) -> float:
         """Squared norm of the final state projected on the accepting set."""
-        return self._measure(self.final_state(word))
+        return self._measure(self._evolve(self.reduced_runs(word)))
 
     def reduced_probability(self, runs) -> float:
         """`accept_probability` of every word whose `reduced_runs` are `runs`."""
         return self._measure(self._evolve(runs))
 
-    def _evolve(self, runs) -> np.ndarray:
-        state = self.u_left[:, 0].copy()
-        for sym, count in runs:
-            state = self._symbol_power(sym, count) @ state
-        return self.u_right @ state
+    def _start(self) -> tuple[float, ...]:
+        """Basis state 0 after the left marker."""
+        return tuple([row[0] for row in self._u_left])
+
+    def _evolve(self, runs) -> tuple[float, ...]:
+        turns = self._turns
+        if turns is None:
+            state = self._start()
+            for sym, count in runs:
+                state = apply(self._symbol_power(sym, count), state)
+            return apply(self._u_right, state)
+        t = sum([turns[sym] * count for sym, count in runs]) % self.angle.D
+        if not t:
+            return self._empty_word_state
+        state = self._powers.get(t)
+        if state is None:
+            c, s = self.angle.cos_sin(t)
+            *fixed, x, y = self._start()
+            state = self._powers[t] = apply(self._u_right, (*fixed, c * x - s * y, s * x + c * y))
+        return state
 
     def _measure(self, state) -> float:
-        prob = float(sum(state[i] ** 2 for i in self.accepting))
+        prob = float(sum([state[i] ** 2 for i in self.accepting]))
         return min(max(prob, 0.0), 1.0)
 
     def check_orthogonality(self) -> float:
@@ -151,8 +307,11 @@ class Moqfa:
         Anything above 1e-10 means the machine was not built from proper
         rotations and should be treated as a construction failure.
         """
-        stack = np.stack((self.u_left, self.u_right, *self.u_sym.values()))
-        return float(np.max(np.abs(stack.transpose(0, 2, 1) @ stack - np.eye(self.dim))))
+        return _worst([
+            deviation
+            for m in (self._u_left, self._u_right, *self._u_sym.values())
+            for deviation in _gram_off_identity(m)
+        ])
 
     def check_period(self) -> float:
         """Worst deviation of u^D from the identity over the per-symbol
@@ -161,21 +320,21 @@ class Moqfa:
         Evaluation reduces every run count mod D, which is only right
         when D is a period of each symbol matrix.
         """
-        if self.angle is None or not self.u_sym:
+        if self.angle is None:
             return 0.0
-        stack = np.stack(tuple(self.u_sym.values()))
-        power = np.linalg.matrix_power(stack, self.angle.D)
-        return float(np.max(np.abs(power - np.eye(self.dim))))
+        return _worst([
+            deviation
+            for m in self._u_sym.values()
+            for deviation in _off_identity(_power(m, self.angle.D))
+        ])
 
     def to_dict(self) -> dict:
-        matrices = {"lmark": self.u_left.tolist(), "rmark": self.u_right.tolist()}
-        for sym, m in self.u_sym.items():
-            matrices[sym] = m.tolist()
+        matrices = {"lmark": self._u_left, "rmark": self._u_right, **self._u_sym}
         return {
             "dim": self.dim,
             "alphabet": list(self.alphabet),
             "angle": None if self.angle is None else {"q": self.angle.q, "D": self.angle.D},
-            "matrices": matrices,
+            "matrices": {name: [list(row) for row in m] for name, m in matrices.items()},
             "accepting": sorted(self.accepting),
         }
 
@@ -184,6 +343,8 @@ class Moqfa:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Moqfa":
+        if not isinstance(data["matrices"], dict):
+            raise ValueError("matrices must be an object mapping lmark, rmark and each symbol to a matrix")
         matrices = dict(data["matrices"])
         u_left = matrices.pop("lmark")
         u_right = matrices.pop("rmark")
@@ -200,18 +361,19 @@ class Moqfa:
         # a file can claim anything; a non-orthogonal matrix or a wrong
         # period gives silently wrong probabilities, so refuse both here
         # (built machines are checked by their builders instead); a
-        # non-finite entry reads as a nan deviation, without a warning
-        with np.errstate(all="ignore"):
-            orthogonality, period = machine.check_orthogonality(), machine.check_period()
+        # non-finite entry reads as a nan deviation. A closed-form machine
+        # has its period by construction, since it never powers a matrix
+        orthogonality = machine.check_orthogonality()
         if not orthogonality <= ORTHOGONALITY_TOLERANCE:
             raise ValueError(f"machine matrices drift from orthogonal by {orthogonality:.3g}")
-        if machine.angle is not None and not (
-            period <= ORTHOGONALITY_TOLERANCE + PERIOD_DRIFT_PER_STEP * machine.angle.D
-        ):
-            raise ValueError(
-                f"angle.D = {machine.angle.D} is not a period of the symbol "
-                f"matrices: |u^D - I| = {period:.3g}"
-            )
+        if machine.angle is not None and machine._turns is None:
+            period = machine.check_period()
+            tolerance = ORTHOGONALITY_TOLERANCE + PERIOD_DRIFT_PER_STEP * machine.angle.D
+            if not period <= min(tolerance, PERIOD_TOLERANCE_CAP):
+                raise ValueError(
+                    f"angle.D = {machine.angle.D} is not a period of the symbol "
+                    f"matrices: |u^D - I| = {period:.3g}"
+                )
         return machine
 
     @classmethod

@@ -12,9 +12,7 @@ no-instances land exactly orthogonal to the accepting state.
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .moqfa import ORTHOGONALITY_TOLERANCE, AngleSpec, Moqfa
+from .moqfa import ORTHOGONALITY_TOLERANCE, AngleSpec, Moqfa, identity, matmul, transpose, turn
 from .promise import UnaryPromiseSpec, family_of
 
 LIFT_TOLERANCE = 1e-12
@@ -117,20 +115,11 @@ def lift_parameters(p: float) -> LiftParameters:
     )
 
 
-def _embed_3d(rot2: np.ndarray) -> np.ndarray:
-    """Put a 2x2 rotation in the (1, 2) plane, leaving basis state 0 alone."""
-    m = np.eye(3)
-    m[1:, 1:] = rot2
-    return m
-
-
-def _seed_matrix(lift: LiftParameters) -> np.ndarray:
-    return np.array(
-        [
-            [lift.alpha, -lift.beta, 0.0],
-            [lift.beta, lift.alpha, 0.0],
-            [0.0, 0.0, 1.0],
-        ]
+def _seed_matrix(lift: LiftParameters):
+    return (
+        (lift.alpha, -lift.beta, 0.0),
+        (lift.beta, lift.alpha, 0.0),
+        (0.0, 0.0, 1.0),
     )
 
 
@@ -146,21 +135,22 @@ def _lifted_rotation(N: int, l: int, alphabet: tuple[str, ...], skip: int | None
     angle for (N, l), seed the rotating plane with the lift of its tilt,
     and let `a` rotate by theta (one letter) or by -theta against `b`'s
     +theta (two letters). `skip` pre-rotates the left marker by that many
-    symbol steps. Returns the checked machine and the selection."""
+    symbol steps. Each symbol turns the (1, 2) plane and leaves basis
+    state 0 alone. Returns the checked machine and the selection."""
     selection = select_angle(N, l)
     angle = AngleSpec(selection.q, N)
-    rot = angle.rotation(1)
+    c, s = angle.cos_sin(1)
     seed = _seed_matrix(lift_parameters(selection.p))
     if len(alphabet) == 1:
-        u_sym = {"a": _embed_3d(rot)}
+        u_sym = {"a": turn(3, c, s)}
     else:
-        u_sym = {"a": _embed_3d(rot.T.copy()), "b": _embed_3d(rot)}
+        u_sym = {"a": turn(3, c, -s), "b": turn(3, c, s)}
     machine = _checked(Moqfa(
         dim=3,
         alphabet=alphabet,
-        u_left=seed if skip is None else _embed_3d(angle.rotation(skip)) @ seed,
+        u_left=seed if skip is None else matmul(turn(3, *angle.cos_sin(skip)), seed),
         u_sym=u_sym,
-        u_right=seed.T.copy(),
+        u_right=transpose(seed),
         accepting=frozenset({0}),
         angle=angle,
     ))
@@ -214,13 +204,13 @@ def build_binary_l(l: int) -> Moqfa:
     if l < 1:
         raise ValueError(f"surplus must be positive, got {l}")
     angle = AngleSpec(1, 4 * l)
-    rot = angle.rotation(1)
+    c, s = angle.cos_sin(1)
     return _checked(Moqfa(
         dim=2,
         alphabet=("a", "b"),
-        u_left=np.eye(2),
-        u_sym={"a": rot.T.copy(), "b": rot},
-        u_right=np.eye(2),
+        u_left=identity(2),
+        u_sym={"a": turn(2, c, -s), "b": turn(2, c, s)},
+        u_right=identity(2),
         accepting=frozenset({0}),
         angle=angle,
     ))

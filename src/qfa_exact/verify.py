@@ -28,7 +28,7 @@ from .promise import (
 )
 from .words import dump_json, record_dict
 
-if TYPE_CHECKING:  # the harness only calls a machine's methods; no numpy import
+if TYPE_CHECKING:  # the harness only calls a machine's methods; `moqfa` stays unloaded
     from .moqfa import Moqfa
 
 DEFAULT_TOLERANCE = 1e-9

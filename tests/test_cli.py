@@ -368,3 +368,38 @@ def test_run_rejects_machine_files_that_lie(tmp_path, capsys, edit):
     assert err.startswith("error: ") and err.count("\n") == 1
     if edit.startswith("alphabet"):
         assert "distinct one-character strings" in err
+
+
+@pytest.mark.parametrize("edit", ["str_entries", "bool_entries", "ragged_row", "matrices_array"])
+def test_run_rejects_malformed_matrices(tmp_path, capsys, edit):
+    machine_path = tmp_path / "machine.json"
+    run_cli(capsys, "synth", "--family", "A", "--N", "7", "--l", "3", "-o", str(machine_path))
+    data = json.loads(machine_path.read_text())
+    matrices = data["matrices"]
+    if edit == "str_entries":  # once read as numbers: P(a^14) came out 1.0
+        matrices["a"] = [[str(x) for x in row] for row in matrices["a"]]
+    elif edit == "bool_entries":
+        matrices["lmark"] = [[i == j for j in range(3)] for i in range(3)]
+    elif edit == "ragged_row":
+        matrices["a"][2].pop()
+    else:
+        data["matrices"] = [matrices["lmark"], matrices["a"], matrices["rmark"]]
+    machine_path.write_text(json.dumps(data))
+    code, out, err = run_cli(capsys, "run", "--machine", str(machine_path), "--length", "14")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    named = {"str_entries": "matrix 'a'", "bool_entries": "matrix 'lmark'",
+             "ragged_row": "matrix 'a'", "matrices_array": "matrices must be an object"}
+    assert named[edit] in err
+
+
+def test_run_on_a_synthesized_machine_with_a_huge_modulus(tmp_path, capsys):
+    machine_path = tmp_path / "machine.json"
+    N = 10**12
+    code, _, _ = run_cli(capsys, "synth", "--family", "A", "--N", str(N), "--l", "5", "-o", str(machine_path))
+    assert code == 0
+    for length, expected in ((3 * N, 1.0), (7 * N + 5, 0.0), (0, 1.0)):
+        code, out, err = run_cli(capsys, "run", "--machine", str(machine_path), "--length", str(length))
+        assert code == 0, err
+        assert abs(float(out) - expected) <= 1e-9

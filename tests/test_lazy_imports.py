@@ -1,9 +1,11 @@
-"""The classical side of the package starts without numpy.
+"""The package and every CLI command start without numpy.
 
 `moqfa` and `synth` load on first use of one of their names; importing
 the package or the CLI, and running the `dfa`, `certify` and `table`
-commands, never touch a matrix. Each check runs in a fresh interpreter,
-since this test process has numpy loaded already.
+commands, never touch a matrix. `synth` and `run` evaluate machines in
+plain Python, and numpy loads only when an ndarray view of a machine is
+read. Each check runs in a fresh interpreter, since this test process
+has numpy loaded already.
 """
 
 import json
@@ -51,14 +53,24 @@ def test_classical_paths_never_import_numpy(run, tmp_path):
     assert result.stdout.splitlines()[-1] == "False"
 
 
-def test_machine_commands_still_load_numpy():
+def test_machine_commands_start_without_numpy(tmp_path):
     result = run_fresh(
+        "import sys\n"
         "from qfa_exact.cli import main\n"
-        "assert main(['synth', '--family', 'A', '--N', '7', '--l', '3']) == 0\n"
-        "import sys\nprint('numpy' in sys.modules)"
+        "assert main(['synth', '--family', 'BN', '--N', '13', '--l', '5', '-o', MACHINE]) == 0\n"
+        "assert main(['run', '--machine', MACHINE, 'aab']) == 0\n"
+        "assert main(['synth', '--family', 'A', '--N', '7', '--l', '3', '-o', UNARY]) == 0\n"
+        "assert main(['run', '--machine', UNARY, '--length', '14']) == 0\n"
+        "print('numpy' in sys.modules)\n"
+        "from qfa_exact import Moqfa\n"
+        "machine = Moqfa.from_json(open(MACHINE).read())\n"
+        "print('numpy' in sys.modules)\n"
+        "machine.u_left\n"
+        "print('numpy' in sys.modules)",
+        MACHINE=str(tmp_path / "bn.json"), UNARY=str(tmp_path / "a.json"),
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.splitlines()[-1] == "True"
+    assert result.stdout.splitlines()[-3:] == ["False", "False", "True"]
 
 
 def test_star_import_binds_every_public_name():

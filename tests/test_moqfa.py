@@ -315,3 +315,41 @@ def test_loading_checks_the_alphabet(alphabet):
 def test_check_period_without_an_angle_is_zero():
     raw = Moqfa.from_dict({**build_unary(7, 3).to_dict(), "angle": None})
     assert raw.check_period() == 0.0
+
+
+def _one_ulp_off(machine):
+    """A copy of `machine` with one entry of its first symbol matrix moved by one ulp."""
+    data = machine.to_dict()
+    matrix = data["matrices"][machine.alphabet[0]]
+    matrix[0][0] = math.nextafter(matrix[0][0], math.inf)
+    return Moqfa.from_dict(data)
+
+
+@pytest.mark.parametrize(
+    "machine",
+    [build_unary(999983, 999982), build_binary_l(228589), build_binary_Nl(10**6, 2), build_binary_Nl(13, 10)],
+    ids=["A", "B", "BN", "BN_small"],
+)
+def test_built_machines_take_the_closed_form_and_agree_with_the_generic_path(machine):
+    clone = Moqfa.from_json(machine.to_json())
+    generic = _one_ulp_off(machine)
+    assert machine._turns is not None and clone._turns == machine._turns
+    assert generic._turns is None
+    rng = np.random.default_rng(12)
+    for _ in range(40):
+        counts = [int(c) for c in rng.integers(0, 10**12, size=3)]
+        if len(machine.alphabet) == 1:
+            word = sum(counts)
+        else:
+            word = (("a", counts[0]), ("b", counts[1]), ("a", counts[2]))
+        closed = machine.final_state(word)
+        assert np.array_equal(clone.final_state(word), closed)
+        assert np.max(np.abs(generic.final_state(word) - closed)) <= 1e-9
+        assert abs(generic.accept_probability(word) - machine.accept_probability(word)) <= 1e-9
+
+
+def test_loading_refuses_a_false_period_beyond_the_drift_range():
+    data = build_unary(7, 3).to_dict()
+    data["angle"]["D"] = 10**15  # once passed: a drift allowance of 10 outgrows any |u^D - I|
+    with pytest.raises(ValueError, match="period"):
+        Moqfa.from_dict(data)
