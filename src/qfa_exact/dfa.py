@@ -257,11 +257,16 @@ class MinimalityCertificate:
         )
 
 
-def _check_budget(total: int, budget: int, d: int) -> None:
-    if total > budget:
-        raise EnumerationBudgetError(
-            f"{total} candidate machines exceed budget {budget} for d={d}"
-        )
+def _check_budget(counts, budget: int, d: int) -> None:
+    """Add up the candidate counts per machine size below d and refuse as
+    soon as the total passes the budget, before it grows any larger."""
+    total = 0
+    for count in counts:
+        total += count
+        if total > budget:
+            raise EnumerationBudgetError(
+                f"candidate machines below d={d} states exceed budget {budget}"
+            )
 
 
 def _letter_counts(runs) -> tuple[int, int]:
@@ -345,7 +350,7 @@ def certify_minimality_unary(
     if i_max < 0:
         raise ValueError("witness bound must be nonnegative")
     spec = UnaryPromiseSpec(N, 0, l)
-    _check_budget(sum(m * 2**m for m in range(1, d)), budget, d)
+    _check_budget((m * 2**m for m in range(1, d)), budget, d)
     witnesses = [(i * N + r, r == 0) for i in range(i_max + 1) for r in (0, l)]
 
     def candidates():
@@ -357,10 +362,6 @@ def certify_minimality_unary(
                 yield delta, 0, ((_orbit_index(n, m, tail), is_yes) for n, is_yes in witnesses)
 
     return _search(spec, d, (i_max, None), ("a",), candidates(), (0, l))
-
-
-def _binary_candidate_count(d: int) -> int:
-    return sum(m ** (2 * m) * m * 2**m for m in range(1, d))
 
 
 def certify_minimality_binary(
@@ -384,7 +385,7 @@ def certify_minimality_binary(
     and anything larger raises EnumerationBudgetError up front.
     """
     d, _ = claimed_size(spec)
-    _check_budget(_binary_candidate_count(d), budget, d)
+    _check_budget((m ** (2 * m) * m * 2**m for m in range(1, d)), budget, d)
     instances = enumerate_instances(spec, i_max, j_max)
     witnesses = [(_letter_counts(word), label is Classification.YES) for word, label in instances]
     words = tuple(

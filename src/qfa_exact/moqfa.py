@@ -45,6 +45,14 @@ class AngleSpec:
         int_fields(self, ("q", "D"), "angle.")
         if self.D < 1:
             raise ValueError(f"denominator must be positive, got {self.D}")
+        try:
+            finite = math.isfinite(2.0 * math.pi * self.D)
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise ValueError(
+                f"denominator too large: 2*pi*D overflows a float for a {self.D.bit_length()}-bit D"
+            )
         if self.q < 0:
             raise ValueError(f"numerator must be nonnegative, got {self.q}")
         object.__setattr__(self, "q", self.q % self.D)
@@ -189,11 +197,11 @@ class Moqfa:
     its counts mod D, computed by one exactly-reduced cos/sin. Any other
     machine multiplies matrix powers, taken by repeated squaring.
 
-    Machines are immutable; the only internal state is a memo of final
-    states by t (closed form) or of symbol powers (other machines), kept
-    only when `angle` bounds its keys, so concurrent runs at worst
-    recompute an entry. The memo is not an init field, so
-    `dataclasses.replace` starts the copy with an empty one.
+    Machines are immutable; the only internal state is the closed form's
+    memo of final states by t, whose keys `angle.D` bounds, so concurrent
+    runs at worst recompute an entry. Other machines keep no memo. The
+    memo is not an init field, so `dataclasses.replace` starts the copy
+    with an empty one.
     """
 
     dim: int
@@ -241,15 +249,6 @@ class Moqfa:
                 return None
         return turns
 
-    def _symbol_power(self, sym: str, count: int):
-        if self.angle is None:
-            return _power(self._u_sym[sym], count)
-        key = (sym, count)
-        power = self._powers.get(key)
-        if power is None:
-            power = self._powers[key] = _power(self._u_sym[sym], count)
-        return power
-
     def reduced_runs(self, word) -> tuple[tuple[str, int], ...]:
         """Run-length pairs of `word` with each count reduced mod `angle.D`
         and runs that reduce to zero dropped; unchanged without an angle.
@@ -285,7 +284,7 @@ class Moqfa:
         if turns is None:
             state = self._start()
             for sym, count in runs:
-                state = apply(self._symbol_power(sym, count), state)
+                state = apply(_power(self._u_sym[sym], count), state)
             return apply(self._u_right, state)
         t = sum([turns[sym] * count for sym, count in runs]) % self.angle.D
         if not t:

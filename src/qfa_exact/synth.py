@@ -49,11 +49,6 @@ class LiftParameters:
     beta: float
 
 
-def _cos_of_units(units: int, D: int) -> float:
-    """cos(2*pi*units/D) with the argument already integer-reduced mod D."""
-    return math.cos(2.0 * math.pi * (units % D) / D)
-
-
 def select_angle(N: int, l: int) -> AngleSelection:
     """Pick a multiplier q with cos(l * 2*pi*q/N) <= 0, for 0 < l < N.
 
@@ -62,40 +57,31 @@ def select_angle(N: int, l: int) -> AngleSelection:
 
     * N/4 <= l <= 3N/4: q = 1 already works.
     * l < N/4: q = ceil(N/(4l)) stretches the step until l*theta reaches
-      the second quadrant.
-    * l > 3N/4: scan j = 1, 2, ... for the first j whose fractional part
-      of j(N-l)/l lies strictly between 1/4 and 2/3 (exact rational
-      comparison), then q = floor((N/l)(j + 1/4)) + 1 wraps l*theta past
-      enough full turns to end up with a nonpositive cosine.
+      the second quadrant. The same ceiling is 1 once 4l >= N, so one
+      formula covers both regimes.
+    * l > 3N/4: take the first j >= 1 whose fractional part of
+      j(N-l)/l lies strictly between 1/4 and 2/3, then
+      q = floor((N/l)(j + 1/4)) + 1 wraps l*theta past enough full turns
+      to end up with a nonpositive cosine. That j is l // (4(N-l)) + 1:
+      the gap g = N - l is below l/3, so j*g climbs in steps narrower
+      than the window (l/4, 2l/3) and enters it before it first wraps
+      past l, at the first j with 4jg > l.
     """
     if not 0 < l < N:
         raise ValueError(f"need 0 < l < N, got l={l}, N={N}")
-    if 4 * l < N:
+    if 4 * l <= 3 * N:
         q = -(-N // (4 * l))
-        case = _CASE_SMALL
-    elif 4 * l <= 3 * N:
-        q = 1
-        case = _CASE_MID
+        case = _CASE_SMALL if 4 * l < N else _CASE_MID
     else:
-        j = _first_fractional_window_hit(N, l)
+        j = l // (4 * (N - l)) + 1
         q = (N * (4 * j + 1)) // (4 * l) + 1
         case = _CASE_LARGE
-    p = _cos_of_units(q * l, N)
+    p = AngleSpec(q, N).cos_sin(l)[0]
     if p > LIFT_TOLERANCE:
         raise RuntimeError(
             f"angle selection failed: cos(l*theta) = {p} > 0 for N={N}, l={l}"
         )
     return AngleSelection(q=q, D=N, p=p, case_tag=case)
-
-
-def _first_fractional_window_hit(N: int, l: int) -> int:
-    # smallest j >= 1 with 1/4 < frac(j*(N-l)/l) < 2/3, i.e. with
-    # remainder r = j*(N-l) mod l satisfying l < 4r and 3r < 2l
-    for j in range(1, 2 * l + 1):
-        r = j * (N - l) % l
-        if l < 4 * r and 3 * r < 2 * l:
-            return j
-    raise RuntimeError(f"no fractional-window hit for N={N}, l={l} within j <= {2 * l}")
 
 
 def lift_parameters(p: float) -> LiftParameters:

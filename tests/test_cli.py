@@ -403,3 +403,53 @@ def test_run_on_a_synthesized_machine_with_a_huge_modulus(tmp_path, capsys):
         code, out, err = run_cli(capsys, "run", "--machine", str(machine_path), "--length", str(length))
         assert code == 0, err
         assert abs(float(out) - expected) <= 1e-9
+
+
+@pytest.mark.parametrize("family", ["A", "BN"])
+def test_certify_refuses_a_huge_d_within_the_budget_exit_code(capsys, family):
+    code, out, err = run_cli(capsys, "certify", "--family", family, "--N", "15013", "--l", "1")
+    assert code == 5
+    assert out == ""
+    assert err == "budget exceeded: candidate machines below d=15013 states exceed budget 1000000\n"
+
+
+def test_table_leaves_a_huge_d_uncertified(tmp_path, capsys):
+    spec_path = tmp_path / "specs.json"
+    spec_path.write_text(json.dumps([{"family": "A", "N": 15013, "r_yes": 0, "r_no": 1}]))
+    code, out, _ = run_cli(capsys, "table", "--specs", str(spec_path))
+    assert code == 0
+    assert out.splitlines()[1] == "A,15013,1,0,1,3,15013,false"
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ("A", "--N", str(10**400), "--l", "1"),
+        ("BN", "--N", str(10**400), "--l", "3"),
+        ("B", "--l", str(10**400)),
+    ],
+    ids=["A", "BN", "B"],
+)
+def test_synth_refuses_a_modulus_too_large_for_a_float(capsys, flags):
+    code, out, err = run_cli(capsys, "synth", "--family", *flags)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: denominator") and err.count("\n") == 1
+
+
+def test_synth_keeps_a_modulus_just_inside_a_float(capsys):
+    code, out, _ = run_cli(capsys, "synth", "--family", "A", "--N", str(10**300), "--l", "1")
+    assert code == 0
+    assert Moqfa.from_json(out).angle.D == 10**300
+
+
+def test_run_refuses_a_machine_whose_denominator_is_too_large_for_a_float(tmp_path, capsys):
+    machine_path = tmp_path / "machine.json"
+    run_cli(capsys, "synth", "--family", "A", "--N", "7", "--l", "3", "-o", str(machine_path))
+    data = json.loads(machine_path.read_text())
+    data["angle"]["D"] = 10**400
+    machine_path.write_text(json.dumps(data))
+    code, out, err = run_cli(capsys, "run", "--machine", str(machine_path), "--length", "14")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: denominator") and err.count("\n") == 1

@@ -322,6 +322,12 @@ def test_certify_unary_budget_error_is_explicit():
         certify_minimality_unary(7, 3, budget=10)
 
 
+def test_certify_budget_admits_exactly_its_count():
+    assert certify_minimality_unary(7, 3, budget=642).machines_checked == 642
+    with pytest.raises(EnumerationBudgetError):
+        certify_minimality_unary(7, 3, budget=641)
+
+
 def test_certify_binary_examples():
     cert = certify_minimality_binary(BinaryPromiseSpec(4))
     assert cert.certified and cert.claimed_d == 3

@@ -36,6 +36,13 @@ def test_angle_spec_rejects_bools_and_non_integers(q, D):
         AngleSpec(q, D)
 
 
+@pytest.mark.parametrize("D", [10**400, 10**308], ids=["10**400", "10**308"])
+def test_angle_spec_refuses_a_denominator_too_large_for_a_float(D):
+    # 2*pi*D overflows: 10**400 as an int-to-float conversion, 10**308 to inf
+    with pytest.raises(ValueError, match="denominator"):
+        AngleSpec(1, D)
+
+
 def test_angle_spec_stores_integer_types_as_int():
     angle = AngleSpec(np.int64(9), np.int32(7))
     assert (angle.q, angle.D) == (2, 7)

@@ -100,6 +100,40 @@ def test_window_search_terminates_everywhere_up_to_500():
             assert sel.case_tag == "large_l" and sel.p <= 1e-12, (N, l)
 
 
+def scanned_angle(N, l):
+    """Reference selection that scans j = 1, 2, ... for the fractional
+    window instead of taking it in closed form; (q, case_tag, p)."""
+    if 4 * l < N:
+        q, case = -(-N // (4 * l)), "small_l"
+    elif 4 * l <= 3 * N:
+        q, case = 1, "mid"
+    else:
+        # smallest j >= 1 with 1/4 < frac(j*(N-l)/l) < 2/3, i.e. with
+        # remainder r = j*(N-l) mod l satisfying l < 4r and 3r < 2l
+        for j in range(1, 2 * l + 1):
+            r = j * (N - l) % l
+            if l < 4 * r and 3 * r < 2 * l:
+                break
+        else:
+            raise AssertionError(f"no window hit for N={N}, l={l} within j <= {2 * l}")
+        q, case = (N * (4 * j + 1)) // (4 * l) + 1, "large_l"
+    return q, case, math.cos(2.0 * math.pi * (q * l % N) / N)
+
+
+def test_closed_form_selection_matches_the_window_scan_up_to_300():
+    for N in range(2, 301):
+        for l in range(1, N):
+            sel = select_angle(N, l)
+            assert (sel.q, sel.case_tag, sel.p) == scanned_angle(N, l), (N, l)
+
+
+def test_select_angle_takes_no_time_on_a_huge_large_case():
+    # the scan would take 2.5 * 10**11 steps here
+    sel = select_angle(10**12 + 1, 10**12)
+    assert (sel.q, sel.case_tag) == (250000000002, "large_l")
+    assert sel.p <= 0
+
+
 @pytest.mark.parametrize(
     "p,alpha,beta",
     [
