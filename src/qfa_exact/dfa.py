@@ -15,6 +15,7 @@ from .promise import (
     BinaryPromiseSpec,
     Classification,
     UnaryPromiseSpec,
+    _witness_counts,
     enumerate_instances,
     family_of,
     spec_to_dict,
@@ -87,6 +88,22 @@ class Dfa:
         path, cycle_start = orbit if orbit is not None else self._orbit(state, sym_index)
         return path[_orbit_index(count, len(path), cycle_start)]
 
+    def _final_states(self, symbols, counts) -> list:
+        """The final state of each word in `counts`, given as the witness
+        counts of `promise`: an int n for symbols[0]^n with one symbol, a
+        pair (i, m) for symbols[0]^i symbols[1]^m with two. Unchecked: the
+        counts must be nonnegative ints, and a symbol outside the alphabet
+        must count 0 in every word."""
+        advance, start = self._advance, self.start
+        index = {sym: self.alphabet.index(sym) for sym in symbols if sym in self.alphabet}
+        if len(symbols) == 1:
+            sym_index = index[symbols[0]]
+            return [advance(start, sym_index, n) for n in counts]
+        a, b = map(index.get, symbols)
+        # many words share an a-count, so walk each a-count once
+        after_a = {i: advance(start, a, i) if i else start for i, _ in counts}
+        return [advance(after_a[i], b, m) for i, m in counts]
+
     def final_state_of(self, word) -> int:
         state = self.start
         for sym, count in as_runs(word, self.alphabet):
@@ -134,13 +151,28 @@ def smallest_modulus(N: int, l: int) -> int:
     """Smallest d >= 2 dividing N but not l; the unary minimal-DFA size.
 
     Always exists: d = N itself divides N and cannot divide 0 < l < N.
+    It is a prime power: the smallest p^(v_p(l) + 1) that divides N. So
+    trial division finds it, stopping once p passes the best candidate
+    or once p^2 passes what is left of N, which is then 1 or a prime P
+    with P^2 not dividing N, a candidate exactly when P does not divide l.
     """
     if not 0 < l < N:
         raise ValueError(f"need 0 < l < N, got l={l}, N={N}")
-    for d in range(2, N + 1):
-        if N % d == 0 and l % d != 0:
-            return d
-    raise AssertionError("unreachable: N divides N and not l")
+    best = rest = N
+    p = 2
+    while p * p <= rest and p < best:
+        if rest % p == 0:
+            power = p
+            while l % power == 0:
+                power *= p
+            while rest % p == 0:
+                rest //= p
+            if N % power == 0:
+                best = min(best, power)
+        p += 1 if p == 2 else 2
+    if 1 < rest < best and l % rest:
+        best = rest
+    return best
 
 
 def smallest_nondivisor(l: int) -> int:
@@ -269,11 +301,6 @@ def _check_budget(counts, budget: int, d: int) -> None:
             )
 
 
-def _letter_counts(runs) -> tuple[int, int]:
-    counts = dict(runs)
-    return counts.get("a", 0), counts.get("b", 0)
-
-
 def _accepting_mask(ends) -> int | None:
     """Fold (final state, is_yes) pairs into the yes-state mask, or None
     as soon as some state ends both a yes- and a no-witness.
@@ -386,12 +413,11 @@ def certify_minimality_binary(
     """
     d, _ = claimed_size(spec)
     _check_budget((m ** (2 * m) * m * 2**m for m in range(1, d)), budget, d)
-    instances = enumerate_instances(spec, i_max, j_max)
-    witnesses = [(_letter_counts(word), label is Classification.YES) for word, label in instances]
-    words = tuple(
-        next(word for word, label in instances if label is kind)
-        for kind in (Classification.YES, Classification.NO)
-    )
+    witnesses = [
+        (counts, label is Classification.YES) for counts, label in _witness_counts(spec, i_max, j_max)
+    ]
+    # the first yes- and no-witness, a^0 b^0 and b^l, whatever the bounds
+    words = tuple(word for word, _ in enumerate_instances(spec, 0, 0))
 
     def candidates():
         for m in range(1, d):

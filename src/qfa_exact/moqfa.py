@@ -198,10 +198,10 @@ class Moqfa:
     machine multiplies matrix powers, taken by repeated squaring.
 
     Machines are immutable; the only internal state is the closed form's
-    memo of final states by t, whose keys `angle.D` bounds, so concurrent
-    runs at worst recompute an entry. Other machines keep no memo. The
-    memo is not an init field, so `dataclasses.replace` starts the copy
-    with an empty one.
+    memo of (final state, acceptance probability) by t, whose keys
+    `angle.D` bounds, so concurrent runs at worst recompute an entry.
+    Other machines keep no memo. The memo is not an init field, so
+    `dataclasses.replace` starts the copy with an empty one.
     """
 
     dim: int
@@ -213,7 +213,8 @@ class Moqfa:
     angle: AngleSpec | None = None
     _powers: dict = field(init=False, default_factory=dict, repr=False)
     _turns: dict | None = field(init=False, default=None, repr=False)
-    _empty_word_state: tuple = field(init=False, default=(), repr=False)
+    _unary_turn: int = field(init=False, default=0, repr=False)
+    _empty_word: tuple = field(init=False, default=(), repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "alphabet", tuple(self.alphabet))
@@ -229,8 +230,12 @@ class Moqfa:
             raise ValueError("per-symbol matrices must cover the alphabet exactly")
         if not self.accepting <= set(range(self.dim)):
             raise ValueError(f"accepting set {set(self.accepting)} out of range")
-        object.__setattr__(self, "_turns", self._closed_form_turns())
-        object.__setattr__(self, "_empty_word_state", apply(self._u_right, self._start()))
+        turns = self._closed_form_turns()
+        object.__setattr__(self, "_turns", turns)
+        if turns is not None and len(turns) == 1:
+            object.__setattr__(self, "_unary_turn", *turns.values())
+        state = apply(self._u_right, self._start())
+        object.__setattr__(self, "_empty_word", (state, self._measure(state)))
 
     def _closed_form_turns(self) -> dict | None:
         """{symbol: +1 or -1} when each symbol matrix is the angle's turn
@@ -262,39 +267,67 @@ class Moqfa:
         D = self.angle.D
         return tuple([(sym, r) for sym, count in runs if (r := count % D)])
 
+    def class_of(self, word):
+        """The class key of `word`: words with equal keys share a final
+        state, computed by the same floating-point operations. On the
+        closed form it is the turn t = sum of turn(sym) * count, mod D,
+        and an int word on a one-symbol machine goes straight to
+        word * turn mod D; on any other machine it is `reduced_runs`."""
+        turns = self._turns
+        if turns is None:
+            return self.reduced_runs(word)
+        if type(word) is int and self._unary_turn and word >= 0:
+            return word * self._unary_turn % self.angle.D
+        return sum([turns[sym] * count for sym, count in as_runs(word, self.alphabet)]) % self.angle.D
+
+    def _class_keys(self, symbols, counts) -> list:
+        """`class_of` of each word in `counts`, given as the witness counts
+        of `promise`: an int n for symbols[0]^n with one symbol, a pair
+        (i, m) for symbols[0]^i symbols[1]^m with two. Unchecked: the
+        symbols must be distinct, the counts nonnegative ints, and a
+        symbol outside the alphabet must count 0 in every word."""
+        turns = self._turns
+        if turns is not None:
+            D = self.angle.D
+            if len(symbols) == 1:
+                turn = turns[symbols[0]]
+                return [n * turn % D for n in counts]
+            turn_a, turn_b = (turns.get(sym, 0) for sym in symbols)
+            return [(turn_a * i + turn_b * m) % D for i, m in counts]
+        # off the closed form a class costs matrix powers, which dwarf a word check
+        words = zip(counts) if len(symbols) == 1 else counts
+        return [self.reduced_runs(tuple([run for run in zip(symbols, word) if run[1]])) for word in words]
+
     def final_state(self, word):
         """State vector after left-marker, word, right-marker on basis state
         0, as an ndarray."""
-        return _ndarray(self._evolve(self.reduced_runs(word)), writeable=True)
+        return _ndarray(self._final(self.class_of(word))[0], writeable=True)
 
     def accept_probability(self, word) -> float:
         """Squared norm of the final state projected on the accepting set."""
-        return self._measure(self._evolve(self.reduced_runs(word)))
-
-    def reduced_probability(self, runs) -> float:
-        """`accept_probability` of every word whose `reduced_runs` are `runs`."""
-        return self._measure(self._evolve(runs))
+        return self._final(self.class_of(word))[1]
 
     def _start(self) -> tuple[float, ...]:
         """Basis state 0 after the left marker."""
         return tuple([row[0] for row in self._u_left])
 
-    def _evolve(self, runs) -> tuple[float, ...]:
-        turns = self._turns
-        if turns is None:
+    def _final(self, key) -> tuple[tuple[float, ...], float]:
+        """(final state, acceptance probability) of the class `key`."""
+        if self._turns is None:
             state = self._start()
-            for sym, count in runs:
+            for sym, count in key:
                 state = apply(_power(self._u_sym[sym], count), state)
-            return apply(self._u_right, state)
-        t = sum([turns[sym] * count for sym, count in runs]) % self.angle.D
-        if not t:
-            return self._empty_word_state
-        state = self._powers.get(t)
-        if state is None:
-            c, s = self.angle.cos_sin(t)
+            state = apply(self._u_right, state)
+            return state, self._measure(state)
+        if not key:
+            return self._empty_word
+        final = self._powers.get(key)
+        if final is None:
+            c, s = self.angle.cos_sin(key)
             *fixed, x, y = self._start()
-            state = self._powers[t] = apply(self._u_right, (*fixed, c * x - s * y, s * x + c * y))
-        return state
+            state = apply(self._u_right, (*fixed, c * x - s * y, s * x + c * y))
+            final = self._powers[key] = (state, self._measure(state))
+        return final
 
     def _measure(self, state) -> float:
         prob = float(sum([state[i] ** 2 for i in self.accepting]))

@@ -9,7 +9,7 @@ no-language: b-surplus exactly l, or surplus l modulo N.
 
 import enum
 from dataclasses import dataclass
-from operator import itemgetter
+from itertools import repeat
 
 from .words import as_int, as_runs, int_fields
 
@@ -106,6 +106,33 @@ def classify_binary(spec: BinaryPromiseSpec, word) -> Classification:
     return Classification.OUTSIDE
 
 
+def _witness_counts(spec, i_max: int = DEFAULT_I_MAX, j_max: int = DEFAULT_J_MAX) -> list:
+    """List (counts, label) for every witness in `enumerate_instances`
+    order: counts are the length n for `A` and the letter counts (i, m)
+    of a^i b^m for `B` and `BN`."""
+    family = family_of(spec)
+    if i_max < 0 or j_max < 0:
+        raise ValueError("instance bounds must be nonnegative")
+    if family == "A":
+        # r_yes and r_no lie in [0, N), so each i's pair precedes the next
+        pair = sorted(((spec.r_yes, Classification.YES), (spec.r_no, Classification.NO)))
+        return [(i * spec.N + r, label) for i in range(i_max + 1) for r, label in pair]
+    # a-heavy words sort lexicographically before b-heavy ones of equal
+    # length: the sort key is (length, b-count), packed in one int as
+    # length * K + m with K above every b-count m; i = length - m, and
+    # the word is a yes-word iff i = m
+    shifts = [0] + ([spec.l] if family == "B" else [j * spec.N + spec.l for j in range(j_max + 1)])
+    K = i_max + shifts[-1] + 1
+    keys = sorted([(2 * i + s) * K + i + s for i in range(i_max + 1) for s in shifts])
+    yes, no = Classification.YES, Classification.NO  # a member lookup is slow
+    return [((length - m, m), yes if length == 2 * m else no) for length, m in map(divmod, keys, repeat(K))]
+
+
+def _binary_word(i: int, m: int) -> tuple:
+    """The run-length form of a^i b^m."""
+    return tuple(pair for pair in (("a", i), ("b", m)) if pair[1])
+
+
 def enumerate_instances(spec, i_max: int = DEFAULT_I_MAX, j_max: int = DEFAULT_J_MAX):
     """List (word, label) pairs with generator indices i <= i_max, j <= j_max.
 
@@ -113,33 +140,10 @@ def enumerate_instances(spec, i_max: int = DEFAULT_I_MAX, j_max: int = DEFAULT_J
     pairs. Sorted by word length, ties broken lexicographically; every
     word is a yes- or no-instance, never outside.
     """
-    family = family_of(spec)
-    if i_max < 0 or j_max < 0:
-        raise ValueError("instance bounds must be nonnegative")
-    if family == "A":
-        items = []
-        for i in range(i_max + 1):
-            items.append((i * spec.N + spec.r_yes, Classification.YES))
-            items.append((i * spec.N + spec.r_no, Classification.NO))
-        items.sort(key=lambda pair: pair[0])
-        return items
-
-    def add(i, m, label):
-        # a-heavy words sort lexicographically before b-heavy ones of equal
-        # length: the sort key is (length, b-count)
-        word = tuple(pair for pair in (("a", i), ("b", m)) if pair[1])
-        keyed.append(((i + m, m), word, label))
-
-    keyed = []
-    for i in range(i_max + 1):
-        add(i, i, Classification.YES)
-        if family == "B":
-            add(i, i + spec.l, Classification.NO)
-        else:
-            for j in range(j_max + 1):
-                add(i, i + j * spec.N + spec.l, Classification.NO)
-    keyed.sort(key=itemgetter(0))
-    return [(word, label) for _, word, label in keyed]
+    witnesses = _witness_counts(spec, i_max, j_max)
+    if isinstance(spec, UnaryPromiseSpec):
+        return witnesses
+    return [(_binary_word(*counts), label) for counts, label in witnesses]
 
 
 # Each family's spec class and its JSON fields, in constructor order.

@@ -22,11 +22,13 @@ from .promise import (
     DEFAULT_I_MAX,
     DEFAULT_J_MAX,
     Classification,
+    UnaryPromiseSpec,
+    _witness_counts,
     enumerate_instances,
     family_of,
     spec_to_dict,
 )
-from .words import dump_json, record_dict
+from .words import as_runs, dump_json, record_dict
 
 if TYPE_CHECKING:  # the harness only calls a machine's methods; `moqfa` stays unloaded
     from .moqfa import Moqfa
@@ -59,18 +61,35 @@ class ExactnessReport:
         return dump_json(self.to_dict(), indent)
 
 
-def _witness_probabilities(machine: "Moqfa", spec, i_max: int, j_max: int):
-    """Yield (word, label, acceptance probability) for every enumerated
-    promise instance. Each distinct residue class of words (equal
-    `reduced_runs`) is evaluated once per call; the result is the one
-    `accept_probability` gives for every word of the class."""
-    memo = {}
-    for word, label in enumerate_instances(spec, i_max, j_max):
-        key = machine.reduced_runs(word)
-        prob = memo.get(key)
-        if prob is None:
-            prob = memo[key] = machine.reduced_probability(key)
-        yield word, label, prob
+def _check_alphabets(spec, i_max: int, j_max: int, alphabets) -> None:
+    """Raise the ValueError that reading each witness as a word over each
+    alphabet in turn raises first, if any. The witnesses are walked only
+    when some alphabet lacks a symbol the family uses, since they may
+    avoid it (a b-only machine reads every witness with i_max = 0)."""
+    if isinstance(spec, UnaryPromiseSpec):
+        suspect = any(len(alphabet) != 1 for alphabet in alphabets)
+    else:
+        suspect = any(sym not in alphabet for alphabet in alphabets for sym in "ab")
+    if suspect:
+        for word, _ in enumerate_instances(spec, i_max, j_max):
+            for alphabet in alphabets:
+                as_runs(word, alphabet)
+
+
+def _witness_classes(machine: "Moqfa", spec, i_max: int, j_max: int, *alphabets):
+    """The witnesses of `spec` as (counts, label) pairs in the form of
+    `promise._witness_counts`, and the class key of each; words of one
+    class share the probability `machine._final(key)` gives. The
+    machine's alphabet and each of `alphabets` are checked first."""
+    _check_alphabets(spec, i_max, j_max, (machine.alphabet, *alphabets))
+    witnesses = _witness_counts(spec, i_max, j_max)
+    return witnesses, machine._class_keys(_symbols(spec, machine.alphabet), [c for c, _ in witnesses])
+
+
+def _symbols(spec, alphabet) -> tuple:
+    """The symbols the witness counts of `spec` count, read over `alphabet`:
+    its one symbol for `A`, since a unary word names no symbol."""
+    return alphabet[:1] if isinstance(spec, UnaryPromiseSpec) else ("a", "b")
 
 
 def verify_exactness(
@@ -83,16 +102,18 @@ def verify_exactness(
 ) -> ExactnessReport:
     """Run the machine on every enumerated promise instance and record the
     worst acceptance-probability deviation on each side."""
-    max_yes_deficit = 0.0
-    max_no_leak = 0.0
-    yes_checked = no_checked = 0
-    for _, label, prob in _witness_probabilities(machine, spec, i_max, j_max):
+    witnesses, keys = _witness_classes(machine, spec, i_max, j_max)
+    labels = [label for _, label in witnesses]
+    yes_checked = labels.count(Classification.YES)
+    no_checked = len(labels) - yes_checked
+    probabilities = {key: machine._final(key)[1] for key in dict.fromkeys(keys)}
+    max_yes_deficit = max_no_leak = 0.0
+    # the worst deviation on each side is the worst over its classes
+    for key, label in dict.fromkeys(zip(keys, labels)):
         if label is Classification.YES:
-            yes_checked += 1
-            max_yes_deficit = max(max_yes_deficit, abs(1.0 - prob))
+            max_yes_deficit = max(max_yes_deficit, abs(1.0 - probabilities[key]))
         else:
-            no_checked += 1
-            max_no_leak = max(max_no_leak, prob)
+            max_no_leak = max(max_no_leak, probabilities[key])
     passed = (
         yes_checked > 0
         and no_checked > 0
@@ -125,8 +146,12 @@ def cross_check(
     """True iff quantum and classical decisions agree on every witness:
     probability within tolerance of 1 exactly when the DFA accepts, and
     within tolerance of 0 exactly when it rejects."""
-    for word, _, prob in _witness_probabilities(machine, spec, i_max, j_max):
-        accepted = dfa.accepts(word)
+    witnesses, keys = _witness_classes(machine, spec, i_max, j_max, dfa.alphabet)
+    states = dfa._final_states(_symbols(spec, dfa.alphabet), [counts for counts, _ in witnesses])
+    # each (class, DFA state) pair once, in witness order, up to the first disagreement
+    for key, state in dict.fromkeys(zip(keys, states)):
+        prob = machine._final(key)[1]
+        accepted = state in dfa.accepting
         if (prob >= 1.0 - tolerance) != accepted:
             return False
         if (prob <= tolerance) != (not accepted):

@@ -28,9 +28,9 @@ def as_runs(word, alphabet) -> tuple[tuple[str, int], ...]:
     Any non-bool integer type (a numpy integer, say) counts as a length.
     Adjacent runs of the same symbol are merged and zero-count runs are
     dropped. Raises ValueError for symbols outside `alphabet`, negative
-    or non-integer counts (bools included), a bool word, an int word
-    on a multi-symbol alphabet, or a word that is neither an integer, a
-    str nor iterable.
+    or non-integer counts (bools included), a run that is not a
+    (symbol, count) pair, a bool word, an int word on a multi-symbol
+    alphabet, or a word that is neither an integer, a str nor iterable.
     """
     if isinstance(word, bool):
         raise ValueError(f"a bool is not a word: {word!r}")
@@ -54,7 +54,11 @@ def as_runs(word, alphabet) -> tuple[tuple[str, int], ...]:
         except TypeError:
             raise ValueError(f"not a word: {word!r}") from None
     runs = []
-    for sym, count in pairs:
+    for run in pairs:
+        try:
+            sym, count = run
+        except (TypeError, ValueError):
+            raise ValueError(f"not a (symbol, count) run: {run!r}") from None
         if type(count) is not int:
             count = as_int(count, "run count")
         if sym not in alphabet:

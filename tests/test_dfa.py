@@ -1,7 +1,9 @@
 import json
 import random
+import time
 from dataclasses import replace
 from itertools import product
+from math import gcd
 
 import pytest
 
@@ -41,6 +43,8 @@ def naive_accepts(dfa, word):
 
 
 def brute_smallest_modulus(N, l):
+    """The scan `smallest_modulus` ran before it factored N: d = 2, 3, ...
+    up to the first divisor of N that does not divide l."""
     return next(d for d in range(2, N + 1) if N % d == 0 and l % d != 0)
 
 
@@ -121,8 +125,6 @@ def test_run_dfa_rejects_unknown_symbols():
 
 
 def test_long_unary_input_is_cheap():
-    import time
-
     dfa = build_unary_min_dfa(16, 8)
     start = time.perf_counter()
     assert dfa.accepts(10**15 * 16)
@@ -161,6 +163,35 @@ def test_formula_validation():
         smallest_modulus_alt(7, 7)
     with pytest.raises(ValueError):
         smallest_nondivisor(0)
+
+
+def test_smallest_modulus_matches_the_scan_up_to_2000():
+    # the scan tests divisors of N only, so it reads l through gcd(N, l)
+    # alone: it runs once per (N, gcd), and the factored form on every l
+    for N in range(2, 2001):
+        scanned = {}
+        for l in range(1, N):
+            g = gcd(N, l)
+            if g not in scanned:
+                scanned[g] = brute_smallest_modulus(N, g)
+            assert smallest_modulus(N, l) == scanned[g], (N, l)
+
+
+@pytest.mark.parametrize(
+    "N,l,expected",
+    [
+        (1000000007, 1, 1000000007),  # prime: trial division to its square root
+        (2**40, 2**39, 2**40),
+        (3**25 * 7, 3**24, 7),  # the leftover prime beats the prime power 3^25
+        (2 * 999999937, 2, 999999937),
+        (999983**2, 999983, 999983**2),  # a prime square is found at its root
+        (10**12 + 39, 10**6, 10**12 + 39),
+    ],
+)
+def test_smallest_modulus_factors_large_moduli_at_once(N, l, expected):
+    start = time.perf_counter()
+    assert smallest_modulus(N, l) == expected
+    assert time.perf_counter() - start < 1.0
 
 
 def test_characterizations_agree_on_a_sweep():

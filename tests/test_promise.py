@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,8 @@ from qfa_exact import (
     BinaryPromiseSpec,
     Classification,
     UnaryPromiseSpec,
+    build_binary_l,
+    build_binary_min_dfa,
     classify_binary,
     classify_unary,
     enumerate_instances,
@@ -229,6 +233,23 @@ def test_as_runs_forms():
         as_runs(-1, ("a",))
     with pytest.raises(ValueError):
         as_runs([("a", -2)], ("a",))
+
+
+@pytest.mark.parametrize(
+    "word,item",
+    [([5], "5"), ((("a", 1), 5), "5"), ([("a",)], "('a',)"), ([("a", 1, 2)], "('a', 1, 2)")],
+)
+def test_runs_that_are_not_pairs_are_value_errors_naming_the_run(word, item):
+    message = re.escape(f"not a (symbol, count) run: {item}")
+    readers = (
+        lambda w: as_runs(w, ("a", "b")),
+        build_binary_l(2).accept_probability,
+        build_binary_min_dfa(3).accepts,
+        lambda w: classify_binary(BinaryPromiseSpec(2), w),
+    )
+    for read in readers:
+        with pytest.raises(ValueError, match=message):
+            read(word)
 
 
 def test_materialize_and_length():

@@ -92,8 +92,10 @@ def test_large_case_follows_smallest_window_multiplier():
 
 
 def test_window_search_terminates_everywhere_up_to_500():
-    # select_angle raises internally if the scan passes j = 2l, so a clean
-    # sweep is a termination proof for the whole desk-scale range
+    # select_angle takes the large case's multiplier in closed form, with
+    # no scan left to run long; this re-checks that case's soundness only,
+    # and test_closed_form_selection_matches_the_window_scan_up_to_300
+    # pins the multiplier itself
     for N in range(2, 501):
         for l in range(3 * N // 4 + 1, N):
             sel = select_angle(N, l)

@@ -1,10 +1,12 @@
 import io
+import re
 from dataclasses import fields, replace
 
 import pytest
 
 from qfa_exact import (
     BinaryPromiseSpec,
+    Dfa,
     Classification,
     ExactnessReport,
     Moqfa,
@@ -23,6 +25,7 @@ from qfa_exact import (
     verify_exactness,
     write_separation_csv,
 )
+from qfa_exact.dfa import build_min_dfa
 
 
 def test_verify_exactness_passes_for_matching_machine():
@@ -224,3 +227,145 @@ def test_cross_check_rejects_a_wrong_accepting_set():
     assert not cross_check(
         build_unary(15, 5), replace(unary, accepting=frozenset({1})), UnaryPromiseSpec(15, 0, 5)
     )
+
+
+def reference_cross_check(machine, dfa, spec, i_max, j_max, tolerance=1e-9):
+    """Per-word oracle: accept_probability and Dfa.accepts on every witness."""
+    for word, _ in enumerate_instances(spec, i_max, j_max):
+        prob, accepted = machine.accept_probability(word), dfa.accepts(word)
+        if (prob >= 1.0 - tolerance) != accepted or (prob <= tolerance) != (not accepted):
+            return False
+    return True
+
+
+def _relabelled(machine):
+    """A 3-state machine with basis states 0, 1, 2 renamed 2, 0, 1 and the
+    same probabilities. Its rotations turn axes 0 and 1, so it keeps its
+    angle but leaves the closed form; it still starts in basis state 0."""
+    new = (2, 0, 1)
+
+    def rows(m):
+        out = [None] * 3
+        for i, row in enumerate(m):
+            out[new[i]] = row
+        return out
+
+    def conjugated(m):
+        out = [[0.0] * 3 for _ in range(3)]
+        for i, row in enumerate(m):
+            for j, x in enumerate(row):
+                out[new[i]][new[j]] = x
+        return out
+
+    relabelled = Moqfa(
+        dim=3,
+        alphabet=machine.alphabet,
+        u_left=rows(machine._u_left),
+        u_sym={sym: conjugated(m) for sym, m in machine._u_sym.items()},
+        u_right=conjugated(machine._u_right),
+        accepting={new[s] for s in machine.accepting},
+        angle=machine.angle,
+    )
+    assert relabelled.angle is not None and relabelled._turns is None
+    return relabelled
+
+
+def _built_machines():
+    """Every built machine for A with N <= 25 (all residue pairs), B with
+    l <= 20 and BN with N <= 20, with its spec."""
+    for N in range(2, 26):
+        for r_yes in range(N):
+            for r_no in range(N):
+                if r_yes != r_no:
+                    yield build_unary_general(N, r_yes, r_no), UnaryPromiseSpec(N, r_yes, r_no)
+    for l in range(1, 21):
+        yield build_binary_l(l), BinaryPromiseSpec(l)
+    for N in range(2, 21):
+        for l in range(1, N):
+            yield build_binary_Nl(N, l), BinaryPromiseSpec(l, N)
+
+
+def _assert_sweeps_equal_per_word_evaluation(machine, spec):
+    dfa = build_min_dfa(spec)
+    # the same counter started one step off disagrees on most specs; the
+    # per-word oracle is the slow side, so it runs at the small bound only
+    shifted = replace(dfa, start=(dfa.start + 1) % dfa.num_states)
+    for i_max, j_max, automata in ((32, 4, (dfa,)), (5, 1, (dfa, shifted))):
+        assert verify_exactness(machine, spec, i_max, j_max) == reference_report(
+            machine, spec, i_max, j_max
+        ), (spec, i_max)
+        for automaton in automata:
+            assert cross_check(machine, automaton, spec, i_max, j_max) == reference_cross_check(
+                machine, automaton, spec, i_max, j_max
+            ), (spec, i_max, automaton.start)
+
+
+def test_sweeps_equal_per_word_evaluation_on_every_built_machine():
+    for machine, spec in _built_machines():
+        _assert_sweeps_equal_per_word_evaluation(machine, spec)
+
+
+@pytest.mark.parametrize(
+    "machine,spec",
+    [(build_unary_general(N, N - 1, N // 3), UnaryPromiseSpec(N, N - 1, N // 3)) for N in range(2, 26, 3)]
+    + [(build_binary_l(l), BinaryPromiseSpec(l)) for l in (1, 4, 12, 20)]
+    + [(build_binary_Nl(N, l), BinaryPromiseSpec(l, N)) for N, l in ((5, 2), (12, 7), (20, 19))],
+)
+def test_sweeps_equal_per_word_evaluation_off_the_closed_form(machine, spec):
+    # per-word evaluation off the closed form powers matrices, up to 0.1 s
+    # per machine, so this takes a sample of the grid above
+    _assert_sweeps_equal_per_word_evaluation(_without_angle(machine), spec)
+    if machine.dim == 3:
+        _assert_sweeps_equal_per_word_evaluation(_relabelled(machine), spec)
+
+
+def _b_only(machine):
+    """`machine` with its `a` matrix dropped: a machine over ("b",)."""
+    return Moqfa(
+        dim=machine.dim,
+        alphabet=("b",),
+        u_left=machine._u_left,
+        u_sym={"b": machine._u_sym["b"]},
+        u_right=machine._u_right,
+        accepting=machine.accepting,
+        angle=machine.angle,
+    )
+
+
+def test_mismatched_alphabets_raise_the_per_word_errors():
+    unary, binary = build_unary(7, 3), build_binary_Nl(5, 2)
+    unary_spec, binary_spec = UnaryPromiseSpec(7, 0, 3), BinaryPromiseSpec(2, 5)
+    no_b = "symbol 'b' not in alphabet ('a',)"
+    not_unary = "integer words are only meaningful for single-symbol alphabets"
+    calls = [
+        (lambda: verify_exactness(unary, binary_spec), no_b),
+        (lambda: cross_check(unary, build_min_dfa(binary_spec), binary_spec), no_b),
+        (lambda: verify_exactness(binary, unary_spec), not_unary),
+        (lambda: cross_check(binary, build_min_dfa(unary_spec), unary_spec), not_unary),
+        # the machine reads every witness here, so the DFA's alphabet is at fault
+        (lambda: cross_check(binary, Dfa(2, ("a",), ((1,), (0,)), 0, {0}), binary_spec), no_b),
+        (lambda: cross_check(unary, build_min_dfa(binary_spec), unary_spec), not_unary),
+    ]
+    for call, message in calls:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            call()
+
+
+def test_a_b_only_machine_reads_the_witnesses_without_a():
+    spec = BinaryPromiseSpec(4)
+    machine = _b_only(build_binary_l(4))
+    report = verify_exactness(machine, spec, i_max=0)
+    assert report.passed and (report.yes_checked, report.no_checked) == (1, 1)
+    assert report == reference_report(machine, spec, 0, 8)
+    # the 3-state counter's b moves, without its a
+    b_only_dfa = Dfa(3, ("b",), ((2,), (0,), (1,)), 0, {0})
+    assert cross_check(machine, b_only_dfa, spec, i_max=0)
+    assert cross_check(build_binary_l(4), b_only_dfa, spec, i_max=0)
+    no_a = "symbol 'a' not in alphabet ('b',)"
+    for call in (
+        lambda: verify_exactness(machine, spec, i_max=1),
+        lambda: cross_check(machine, build_min_dfa(spec), spec, i_max=1),
+        lambda: cross_check(build_binary_l(4), b_only_dfa, spec, i_max=1),
+    ):
+        with pytest.raises(ValueError, match=re.escape(no_a)):
+            call()
