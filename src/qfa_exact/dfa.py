@@ -9,7 +9,7 @@ each one misclassify some promise instance.
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import product
+from itertools import chain, product
 
 from .promise import (
     BinaryPromiseSpec,
@@ -38,6 +38,14 @@ def _orbit_index(count: int, length: int, cycle_start: int) -> int:
     return cycle_start + (count - cycle_start) % (length - cycle_start)
 
 
+class _Table(tuple):
+    """A transition table already checked to be rectangular with every
+    target indexing one of its rows, so a `Dfa` copy that keeps it (as
+    `dataclasses.replace` does) skips the check."""
+
+    __slots__ = ()
+
+
 @dataclass(frozen=True, eq=False)
 class Dfa:
     """Table-driven deterministic automaton; delta[state][symbol_index].
@@ -57,15 +65,22 @@ class Dfa:
     def __post_init__(self):
         object.__setattr__(self, "alphabet", tuple(self.alphabet))
         object.__setattr__(self, "accepting", frozenset(self.accepting))
-        object.__setattr__(self, "delta", tuple(tuple(row) for row in self.delta))
-        if len(self.delta) != self.num_states:
+        delta = self.delta if type(self.delta) is _Table else tuple(map(tuple, self.delta))
+        if len(delta) != self.num_states:
             raise ValueError("transition table must have one row per state")
-        for row in self.delta:
-            if len(row) != len(self.alphabet) or not all(0 <= s < self.num_states for s in row):
+        if type(delta) is not _Table:
+            targets = list(chain.from_iterable(delta))
+            if len(set(map(len, delta))) > 1 or (
+                targets and not (0 <= min(targets) and max(targets) < len(delta))
+            ):
                 raise ValueError("transition table entries out of range")
+            delta = _Table(delta)
+        if delta and len(delta[0]) != len(self.alphabet):
+            raise ValueError("transition table entries out of range")
+        object.__setattr__(self, "delta", delta)
         if not 0 <= self.start < self.num_states:
             raise ValueError(f"start state {self.start} out of range")
-        if not self.accepting <= set(range(self.num_states)):
+        if not all(map(range(self.num_states).__contains__, self.accepting)):
             raise ValueError("accepting states out of range")
 
     def _orbit(self, start: int, sym_index: int) -> tuple[list[int], int]:
@@ -89,20 +104,18 @@ class Dfa:
         return path[_orbit_index(count, len(path), cycle_start)]
 
     def _final_states(self, symbols, counts) -> list:
-        """The final state of each word in `counts`, given as the witness
-        counts of `promise`: an int n for symbols[0]^n with one symbol, a
-        pair (i, m) for symbols[0]^i symbols[1]^m with two. Unchecked: the
-        counts must be nonnegative ints, and a symbol outside the alphabet
-        must count 0 in every word."""
-        advance, start = self._advance, self.start
-        index = {sym: self.alphabet.index(sym) for sym in symbols if sym in self.alphabet}
-        if len(symbols) == 1:
-            sym_index = index[symbols[0]]
-            return [advance(start, sym_index, n) for n in counts]
-        a, b = map(index.get, symbols)
-        # many words share an a-count, so walk each a-count once
-        after_a = {i: advance(start, a, i) if i else start for i, _ in counts}
-        return [advance(after_a[i], b, m) for i, m in counts]
+        """The final state of each word in `counts`, a word being a tuple
+        of counts aligned with `symbols` (as `promise._witness_counts`
+        gives them). Unchecked: the counts must be nonnegative ints, and
+        a symbol outside the alphabet must count 0 in every word."""
+        advance = self._advance
+        states = [self.start] * len(counts)
+        # one pass per symbol, over all words at once
+        for k, sym in enumerate(symbols):
+            if sym in self.alphabet:
+                sym_index = self.alphabet.index(sym)
+                states = [advance(state, sym_index, word[k]) for state, word in zip(states, counts)]
+        return states
 
     def final_state_of(self, word) -> int:
         state = self.start

@@ -213,7 +213,6 @@ class Moqfa:
     angle: AngleSpec | None = None
     _powers: dict = field(init=False, default_factory=dict, repr=False)
     _turns: dict | None = field(init=False, default=None, repr=False)
-    _unary_turn: int = field(init=False, default=0, repr=False)
     _empty_word: tuple = field(init=False, default=(), repr=False)
 
     def __post_init__(self):
@@ -230,10 +229,7 @@ class Moqfa:
             raise ValueError("per-symbol matrices must cover the alphabet exactly")
         if not self.accepting <= set(range(self.dim)):
             raise ValueError(f"accepting set {set(self.accepting)} out of range")
-        turns = self._closed_form_turns()
-        object.__setattr__(self, "_turns", turns)
-        if turns is not None and len(turns) == 1:
-            object.__setattr__(self, "_unary_turn", *turns.values())
+        object.__setattr__(self, "_turns", self._closed_form_turns())
         state = apply(self._u_right, self._start())
         object.__setattr__(self, "_empty_word", (state, self._measure(state)))
 
@@ -270,33 +266,34 @@ class Moqfa:
     def class_of(self, word):
         """The class key of `word`: words with equal keys share a final
         state, computed by the same floating-point operations. On the
-        closed form it is the turn t = sum of turn(sym) * count, mod D,
-        and an int word on a one-symbol machine goes straight to
-        word * turn mod D; on any other machine it is `reduced_runs`."""
+        closed form it is the turn t = sum of turn(sym) * count, mod D;
+        on any other machine it is `reduced_runs`."""
         turns = self._turns
         if turns is None:
             return self.reduced_runs(word)
-        if type(word) is int and self._unary_turn and word >= 0:
-            return word * self._unary_turn % self.angle.D
-        return sum([turns[sym] * count for sym, count in as_runs(word, self.alphabet)]) % self.angle.D
+        t = 0
+        for sym, count in as_runs(word, self.alphabet):
+            t += turns[sym] * count
+        return t % self.angle.D
 
     def _class_keys(self, symbols, counts) -> list:
-        """`class_of` of each word in `counts`, given as the witness counts
-        of `promise`: an int n for symbols[0]^n with one symbol, a pair
-        (i, m) for symbols[0]^i symbols[1]^m with two. Unchecked: the
-        symbols must be distinct, the counts nonnegative ints, and a
-        symbol outside the alphabet must count 0 in every word."""
+        """`class_of` of each word in `counts`, a word being a tuple of
+        counts aligned with `symbols` (as `promise._witness_counts` gives
+        them). Unchecked: the symbols must be distinct, the counts
+        nonnegative ints, and a symbol outside the alphabet must count 0
+        in every word."""
         turns = self._turns
-        if turns is not None:
-            D = self.angle.D
-            if len(symbols) == 1:
-                turn = turns[symbols[0]]
-                return [n * turn % D for n in counts]
-            turn_a, turn_b = (turns.get(sym, 0) for sym in symbols)
-            return [(turn_a * i + turn_b * m) % D for i, m in counts]
-        # off the closed form a class costs matrix powers, which dwarf a word check
-        words = zip(counts) if len(symbols) == 1 else counts
-        return [self.reduced_runs(tuple([run for run in zip(symbols, word) if run[1]])) for word in words]
+        if turns is None:
+            # off the closed form a class costs matrix powers, which dwarf a word check
+            return [self.reduced_runs(tuple([run for run in zip(symbols, word) if run[1]])) for word in counts]
+        keys = [0] * len(counts)
+        # one pass per symbol, over all words at once
+        for k, sym in enumerate(symbols):
+            if sym in turns:
+                turn = turns[sym]
+                keys = [key + turn * word[k] for key, word in zip(keys, counts)]
+        D = self.angle.D
+        return [key % D for key in keys]
 
     def final_state(self, word):
         """State vector after left-marker, word, right-marker on basis state

@@ -108,15 +108,16 @@ def classify_binary(spec: BinaryPromiseSpec, word) -> Classification:
 
 def _witness_counts(spec, i_max: int = DEFAULT_I_MAX, j_max: int = DEFAULT_J_MAX) -> list:
     """List (counts, label) for every witness in `enumerate_instances`
-    order: counts are the length n for `A` and the letter counts (i, m)
-    of a^i b^m for `B` and `BN`."""
+    order. The counts are a tuple aligned with the symbols the word
+    spells: (n,) for the unary word of length n (`A`), (i, m) for
+    a^i b^m (`B`, `BN`)."""
     family = family_of(spec)
     if i_max < 0 or j_max < 0:
         raise ValueError("instance bounds must be nonnegative")
     if family == "A":
         # r_yes and r_no lie in [0, N), so each i's pair precedes the next
         pair = sorted(((spec.r_yes, Classification.YES), (spec.r_no, Classification.NO)))
-        return [(i * spec.N + r, label) for i in range(i_max + 1) for r, label in pair]
+        return [((i * spec.N + r,), label) for i in range(i_max + 1) for r, label in pair]
     # a-heavy words sort lexicographically before b-heavy ones of equal
     # length: the sort key is (length, b-count), packed in one int as
     # length * K + m with K above every b-count m; i = length - m, and
@@ -128,9 +129,10 @@ def _witness_counts(spec, i_max: int = DEFAULT_I_MAX, j_max: int = DEFAULT_J_MAX
     return [((length - m, m), yes if length == 2 * m else no) for length, m in map(divmod, keys, repeat(K))]
 
 
-def _binary_word(i: int, m: int) -> tuple:
-    """The run-length form of a^i b^m."""
-    return tuple(pair for pair in (("a", i), ("b", m)) if pair[1])
+def _witness_symbols(spec, alphabet) -> tuple:
+    """The symbols that the counts of `_witness_counts` count, read over
+    `alphabet`: its first symbol for `A`, since a unary word names none."""
+    return alphabet[:1] if isinstance(spec, UnaryPromiseSpec) else ("a", "b")
 
 
 def enumerate_instances(spec, i_max: int = DEFAULT_I_MAX, j_max: int = DEFAULT_J_MAX):
@@ -142,8 +144,8 @@ def enumerate_instances(spec, i_max: int = DEFAULT_I_MAX, j_max: int = DEFAULT_J
     """
     witnesses = _witness_counts(spec, i_max, j_max)
     if isinstance(spec, UnaryPromiseSpec):
-        return witnesses
-    return [(_binary_word(*counts), label) for counts, label in witnesses]
+        return [(n, label) for (n,), label in witnesses]
+    return [(tuple([run for run in zip("ab", counts) if run[1]]), label) for counts, label in witnesses]
 
 
 # Each family's spec class and its JSON fields, in constructor order.

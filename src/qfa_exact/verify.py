@@ -24,6 +24,7 @@ from .promise import (
     Classification,
     UnaryPromiseSpec,
     _witness_counts,
+    _witness_symbols,
     enumerate_instances,
     family_of,
     spec_to_dict,
@@ -83,13 +84,8 @@ def _witness_classes(machine: "Moqfa", spec, i_max: int, j_max: int, *alphabets)
     machine's alphabet and each of `alphabets` are checked first."""
     _check_alphabets(spec, i_max, j_max, (machine.alphabet, *alphabets))
     witnesses = _witness_counts(spec, i_max, j_max)
-    return witnesses, machine._class_keys(_symbols(spec, machine.alphabet), [c for c, _ in witnesses])
-
-
-def _symbols(spec, alphabet) -> tuple:
-    """The symbols the witness counts of `spec` count, read over `alphabet`:
-    its one symbol for `A`, since a unary word names no symbol."""
-    return alphabet[:1] if isinstance(spec, UnaryPromiseSpec) else ("a", "b")
+    symbols = _witness_symbols(spec, machine.alphabet)
+    return witnesses, machine._class_keys(symbols, [counts for counts, _ in witnesses])
 
 
 def verify_exactness(
@@ -147,7 +143,7 @@ def cross_check(
     probability within tolerance of 1 exactly when the DFA accepts, and
     within tolerance of 0 exactly when it rejects."""
     witnesses, keys = _witness_classes(machine, spec, i_max, j_max, dfa.alphabet)
-    states = dfa._final_states(_symbols(spec, dfa.alphabet), [counts for counts, _ in witnesses])
+    states = dfa._final_states(_witness_symbols(spec, dfa.alphabet), [counts for counts, _ in witnesses])
     # each (class, DFA state) pair once, in witness order, up to the first disagreement
     for key, state in dict.fromkeys(zip(keys, states)):
         prob = machine._final(key)[1]

@@ -488,3 +488,33 @@ def test_dfa_construction_validation():
         Dfa(2, ("a",), ((1,), (0,)), 3, frozenset())
     with pytest.raises(ValueError):
         Dfa(2, ("a",), ((1,), (0,)), 0, frozenset({4}))
+
+
+@pytest.mark.parametrize(
+    "states,alphabet,delta,message",
+    [
+        (2, ("a",), ((1,),), "one row per state"),
+        (2, ("a",), ((1,), (5,)), "entries out of range"),
+        (2, ("a",), ((1,), (-1,)), "entries out of range"),
+        (2, ("a", "b"), ((1, 0), (0,)), "entries out of range"),  # a ragged row
+        (2, ("a", "b"), ((1,), (0,)), "entries out of range"),  # rows narrower than the alphabet
+        (2, ("a",), ((1, 0), (0, 1)), "entries out of range"),  # wider
+        (3, ("a",), ((1,), (2,)), "one row per state"),  # checked before the targets
+    ],
+)
+def test_dfa_table_checks_name_the_fault(states, alphabet, delta, message):
+    with pytest.raises(ValueError, match=message):
+        Dfa(states, alphabet, delta, 0, frozenset())
+
+
+def test_a_copy_keeps_its_checked_table_and_is_still_checked_against_its_fields():
+    dfa = build_unary_min_dfa(16, 8)
+    copy = replace(dfa, start=3)
+    assert copy.delta is dfa.delta and copy.delta == tuple(tuple(row) for row in dfa.delta)
+    assert copy.accepts(13) and not copy.accepts(16)
+    with pytest.raises(ValueError, match="one row per state"):
+        replace(dfa, num_states=17)
+    with pytest.raises(ValueError, match="entries out of range"):
+        replace(dfa, alphabet=("a", "b"))
+    with pytest.raises(ValueError, match="start state 16 out of range"):
+        replace(dfa, start=16)

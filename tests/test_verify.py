@@ -369,3 +369,21 @@ def test_a_b_only_machine_reads_the_witnesses_without_a():
     ):
         with pytest.raises(ValueError, match=re.escape(no_a)):
             call()
+
+
+def test_unary_sweeps_read_each_automaton_over_its_own_symbol():
+    # an int word is a run of the alphabet's one symbol, whatever it is
+    spec = UnaryPromiseSpec(9, 2, 7)
+    data = build_unary_general(9, 2, 7).to_dict()
+    data["matrices"]["x"] = data["matrices"].pop("a")
+    machine = Moqfa.from_dict({**data, "alphabet": ["x"]})
+    assert machine._turns is not None
+    dfa = build_min_dfa(spec)
+    over_y = replace(dfa, alphabet=("y",))
+    assert verify_exactness(machine, spec, 32, 4) == reference_report(machine, spec, 32, 4)
+    assert verify_exactness(machine, spec).passed
+    for automaton in (over_y, replace(over_y, start=(over_y.start + 1) % over_y.num_states)):
+        assert cross_check(machine, automaton, spec, 32, 4) == reference_cross_check(
+            machine, automaton, spec, 32, 4
+        )
+    assert cross_check(machine, over_y, spec)
