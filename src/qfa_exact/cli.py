@@ -114,6 +114,9 @@ def cmd_run(args):
 def cmd_dfa(args):
     spec = _spec_from_args(args)
     d, formula = claimed_size(spec)
+    # the table has d rows; the certificate budget bounds it as well
+    if d > DEFAULT_ENUMERATION_BUDGET:
+        raise EnumerationBudgetError(f"a d={d}-state DFA exceeds budget {DEFAULT_ENUMERATION_BUDGET} states")
     stream = _emit(build_min_dfa(spec).to_json(), args.output)
     print(f"d={d} ({formula})", file=stream)
     return EXIT_OK

@@ -198,11 +198,16 @@ def smallest_nondivisor(l: int) -> int:
     return d
 
 
-@lru_cache(maxsize=None)
-def _reachable_offsets(N: int, d: int) -> frozenset:
-    # residues (-p*N) mod d over one full period of p; l hits one of these
-    # exactly when some p*N + l is divisible by d
-    return frozenset((-p * N) % d for p in range(d))
+@lru_cache(maxsize=512)
+def _reachable_offsets(N: int, d: int) -> bytes:
+    # 1 at the residues (-p*N) mod d over one full period of p; l hits one
+    # of these exactly when some p*N + l is divisible by d. One byte per
+    # residue, and the cache holds every d of one N up to 512, so a scan
+    # over l for one N builds each table once
+    hits = bytearray(d)
+    for p in range(d):
+        hits[(-p * N) % d] = 1
+    return bytes(hits)
 
 
 def smallest_modulus_alt(N: int, l: int) -> int:
@@ -215,7 +220,7 @@ def smallest_modulus_alt(N: int, l: int) -> int:
     if not 0 < l < N:
         raise ValueError(f"need 0 < l < N, got l={l}, N={N}")
     d = 2
-    while l % d in _reachable_offsets(N, d):
+    while _reachable_offsets(N, d)[l % d]:
         d += 1
     return d
 

@@ -76,15 +76,24 @@ class AngleSpec:
 
 
 # -- matrices as tuples of float rows -----------------------------------------
+class _Rows(tuple):
+    """A square matrix of float rows that this package built itself
+    (`identity`, `turn`, `matmul`, the synthesis seed), so `_as_rows`
+    takes it as it is."""
+
+    __slots__ = ()
+
+
 @lru_cache(maxsize=None)
-def identity(dim: int) -> tuple[tuple[float, ...], ...]:
-    return tuple(tuple(float(i == j) for j in range(dim)) for i in range(dim))
+def identity(dim: int) -> _Rows:
+    return _Rows(tuple(float(i == j) for j in range(dim)) for i in range(dim))
 
 
-def turn(dim: int, c: float, s: float) -> tuple[tuple[float, ...], ...]:
+def turn(dim: int, c: float, s: float) -> _Rows:
     """The identity with its last two axes turned by [[c, -s], [s, c]]."""
+    c, s = float(c), float(s)
     *fixed, x, y = identity(dim)
-    return (*fixed, (*x[:-2], c, -s), (*y[:-2], s, c))
+    return _Rows((*fixed, (*x[:-2], c, -s), (*y[:-2], s, c)))
 
 
 def transpose(m):
@@ -97,8 +106,9 @@ def apply(m, v) -> tuple[float, ...]:
 
 
 def matmul(a, b):
+    """a times b, both square matrices of float rows of one size."""
     columns = transpose(b)
-    return tuple([tuple([sum(map(mul, row, col)) for col in columns]) for row in a])
+    return _Rows([tuple([sum(map(mul, row, col)) for col in columns]) for row in a])
 
 
 def _power(m, n: int):
@@ -137,7 +147,10 @@ def _is_number(x) -> bool:
 
 def _as_rows(matrix, dim: int, name: str):
     """`matrix` (nested lists or tuples, or an ndarray) as a tuple of `dim`
-    float rows of `dim` entries; entries must be non-bool ints or floats."""
+    float rows of `dim` entries; entries must be non-bool ints or floats.
+    A `_Rows` of `dim` rows is returned as it is."""
+    if type(matrix) is _Rows and len(matrix) == dim:
+        return matrix
     if hasattr(matrix, "tolist"):
         matrix = matrix.tolist()
     if isinstance(matrix, (list, tuple)) and len(matrix) == dim and all(
@@ -213,6 +226,7 @@ class Moqfa:
     angle: AngleSpec | None = None
     _powers: dict = field(init=False, default_factory=dict, repr=False)
     _turns: dict | None = field(init=False, default=None, repr=False)
+    _unit: tuple = field(init=False, default=(), repr=False)
     _empty_word: tuple = field(init=False, default=(), repr=False)
 
     def __post_init__(self):
@@ -235,10 +249,12 @@ class Moqfa:
 
     def _closed_form_turns(self) -> dict | None:
         """{symbol: +1 or -1} when each symbol matrix is the angle's turn
-        (+1) or its transpose (-1), entry for entry; else None."""
+        (+1) or its transpose (-1), entry for entry; else None. Keeps the
+        angle's (cos, sin) as `_unit` for `check_orthogonality`."""
         if self.angle is None or self.dim < 2:
             return None
         c, s = self.angle.cos_sin(1)
+        object.__setattr__(self, "_unit", (c, s))
         forward, backward = turn(self.dim, c, s), turn(self.dim, c, -s)
         turns = {}
         for sym, m in self._u_sym.items():
@@ -336,11 +352,18 @@ class Moqfa:
         Anything above 1e-10 means the machine was not built from proper
         rotations and should be treated as a construction failure.
         """
-        return _worst([
-            deviation
-            for m in (self._u_left, self._u_right, *self._u_sym.values())
-            for deviation in _gram_off_identity(m)
-        ])
+        markers = _gram_off_identity(self._u_left) + _gram_off_identity(self._u_right)
+        if self._turns is None:
+            return _worst(markers + [
+                deviation for m in self._u_sym.values() for deviation in _gram_off_identity(m)
+            ])
+        # each symbol matrix is turn(dim, c, +-s) entry for entry, so its
+        # Gram deviations are 0 off the turned plane's diagonal (the
+        # products c*s cancel exactly) and |c*c + s*s - 1| on it, the same
+        # two products summed in either order
+        c, s = self._unit
+        symbols = [abs(c * c + s * s - 1)] if self._turns else []
+        return _worst(markers + symbols)
 
     def check_period(self) -> float:
         """Worst deviation of u^D from the identity over the per-symbol

@@ -12,7 +12,7 @@ no-instances land exactly orthogonal to the accepting state.
 import math
 from dataclasses import dataclass
 
-from .moqfa import ORTHOGONALITY_TOLERANCE, AngleSpec, Moqfa, identity, matmul, transpose, turn
+from .moqfa import ORTHOGONALITY_TOLERANCE, AngleSpec, Moqfa, _Rows, identity, matmul, transpose, turn
 from .promise import UnaryPromiseSpec, family_of
 
 LIFT_TOLERANCE = 1e-12
@@ -101,12 +101,12 @@ def lift_parameters(p: float) -> LiftParameters:
     )
 
 
-def _seed_matrix(lift: LiftParameters):
-    return (
+def _seed_matrix(lift: LiftParameters) -> _Rows:
+    return _Rows((
         (lift.alpha, -lift.beta, 0.0),
         (lift.beta, lift.alpha, 0.0),
         (0.0, 0.0, 1.0),
-    )
+    ))
 
 
 def _checked(machine: Moqfa) -> Moqfa:
@@ -136,7 +136,7 @@ def _lifted_rotation(N: int, l: int, alphabet: tuple[str, ...], skip: int | None
         alphabet=alphabet,
         u_left=seed if skip is None else matmul(turn(3, *angle.cos_sin(skip)), seed),
         u_sym=u_sym,
-        u_right=transpose(seed),
+        u_right=_Rows(transpose(seed)),
         accepting=frozenset({0}),
         angle=angle,
     ))

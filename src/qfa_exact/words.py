@@ -43,7 +43,7 @@ def as_runs(word, alphabet) -> tuple[tuple[str, int], ...]:
             )
         return ((alphabet[0], word),) if word else ()
     if isinstance(word, str):
-        pairs = [(sym, sum(1 for _ in grp)) for sym, grp in groupby(word)]
+        pairs = [(sym, len(list(grp))) for sym, grp in groupby(word)]
     elif isinstance(word, tuple):
         pairs = word
     elif hasattr(word, "__index__"):
@@ -58,7 +58,7 @@ def as_runs(word, alphabet) -> tuple[tuple[str, int], ...]:
         try:
             sym, count = run
         except (TypeError, ValueError):
-            raise ValueError(f"not a (symbol, count) run: {run!r}") from None
+            raise _not_a_run(run) from None
         if type(count) is not int:
             count = as_int(count, "run count")
         if sym not in alphabet:
@@ -108,13 +108,26 @@ def as_alphabet(symbols) -> tuple[str, ...]:
     raise ValueError(f"alphabet must be an array of distinct one-character strings, got {symbols!r}")
 
 
+def _not_a_run(run) -> ValueError:
+    return ValueError(f"not a (symbol, count) run: {run!r}")
+
+
+def _pair(run) -> tuple:
+    try:
+        sym, count = run
+    except (TypeError, ValueError):
+        raise _not_a_run(run) from None
+    return sym, count
+
+
 def _runs_of(word):
-    """A non-str word as runs: an integer word through the length rule of
-    `as_runs`, anything else as given, so long as it is iterable."""
+    """A non-str word as (symbol, count) pairs: an integer word through the
+    length rule of `as_runs`, anything else as given, so long as it is
+    iterable and each item is a pair."""
     if hasattr(word, "__index__"):
         return as_runs(word, ("a",))
     try:
-        return iter(word)
+        return map(_pair, word)
     except TypeError:
         raise ValueError(f"not a word: {word!r}") from None
 

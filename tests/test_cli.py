@@ -413,6 +413,17 @@ def test_certify_refuses_a_huge_d_within_the_budget_exit_code(capsys, family):
     assert err == "budget exceeded: candidate machines below d=15013 states exceed budget 1000000\n"
 
 
+@pytest.mark.parametrize("family", ["A", "BN"])
+def test_dfa_refuses_a_table_past_the_budget_exit_code(tmp_path, capsys, family):
+    # d = N = 1000000007 rows would take gigabytes
+    output = tmp_path / "dfa.json"
+    code, out, err = run_cli(capsys, "dfa", "--family", family, "--N", "1000000007", "--l", "1", "-o", str(output))
+    assert code == 5
+    assert out == ""
+    assert err == "budget exceeded: a d=1000000007-state DFA exceeds budget 1000000 states\n"
+    assert not output.exists()
+
+
 def test_table_leaves_a_huge_d_uncertified(tmp_path, capsys):
     spec_path = tmp_path / "specs.json"
     spec_path.write_text(json.dumps([{"family": "A", "N": 15013, "r_yes": 0, "r_no": 1}]))

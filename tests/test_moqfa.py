@@ -1,11 +1,21 @@
 import json
 import math
 from dataclasses import replace
+from operator import mul
 
 import numpy as np
 import pytest
 
-from qfa_exact import AngleSpec, Moqfa, build_binary_Nl, build_binary_l, build_unary, build_unary_min_dfa
+from qfa_exact import (
+    AngleSpec,
+    Moqfa,
+    build_binary_Nl,
+    build_binary_l,
+    build_unary,
+    build_unary_general,
+    build_unary_min_dfa,
+)
+from qfa_exact.moqfa import _as_rows, _Rows, identity, matmul, turn
 
 
 def naive_final_state(machine, word):
@@ -360,3 +370,132 @@ def test_loading_refuses_a_false_period_beyond_the_drift_range():
     data["angle"]["D"] = 10**15  # once passed: a drift allowance of 10 outgrows any |u^D - I|
     with pytest.raises(ValueError, match="period"):
         Moqfa.from_dict(data)
+
+
+def reference_orthogonality(machine):
+    """The full Gram check on every matrix: the worst |M^T M - I| entry on
+    and above the diagonal, nan if any is nan, 0.0 with no entries."""
+    deviations = []
+    for m in machine.to_dict()["matrices"].values():
+        columns = list(zip(*m))
+        n = len(columns)
+        deviations += [abs(sum(map(mul, columns[i], columns[j])) - (i == j)) for i in range(n) for j in range(i, n)]
+    if any(map(math.isnan, deviations)):
+        return math.nan
+    return max(deviations, default=0.0)
+
+
+def _grid_machines():
+    """Every built machine for A with N <= 25 (all residue pairs), B with
+    l <= 60 and BN with N <= 40."""
+    for N in range(2, 26):
+        for r_yes in range(N):
+            for r_no in range(N):
+                if r_yes != r_no:
+                    yield build_unary_general(N, r_yes, r_no)
+    for l in range(1, 61):
+        yield build_binary_l(l)
+    for N in range(2, 41):
+        for l in range(1, N):
+            yield build_binary_Nl(N, l)
+
+
+def _with_matrices(machine, edit):
+    """A copy of `machine` whose matrices, as lists of rows by name, went
+    through `edit`; the angle is kept."""
+    matrices = machine.to_dict()["matrices"]
+    edit(matrices)
+    u_left, u_right = matrices.pop("lmark"), matrices.pop("rmark")
+    return Moqfa(dim=machine.dim, alphabet=machine.alphabet, u_left=u_left, u_sym=matrices,
+                 u_right=u_right, accepting=machine.accepting, angle=machine.angle)
+
+
+def _relabel(matrices):
+    # basis states 0, 1, 2 renamed 2, 0, 1: the rotations turn axes 0 and 1
+    order = [1, 2, 0]
+    for name, m in matrices.items():
+        matrices[name] = [[m[i][j] for j in order] for i in order]
+
+
+def _tamper_symbol(matrices):
+    matrices["a"][1][1] += 1e-3
+
+
+def _tamper_marker(matrices):
+    matrices["lmark"][0][0] = math.nextafter(matrices["lmark"][0][0], math.inf)
+
+
+def test_check_orthogonality_equals_the_full_gram_on_every_built_machine_and_its_copies():
+    for k, machine in enumerate(_grid_machines()):
+        assert machine._turns is not None
+        expected = reference_orthogonality(machine)
+        assert machine.check_orthogonality() == expected, machine.to_json()
+        if k % 3:
+            continue  # the copies, built from lists, take every third machine
+        stripped = replace(machine, angle=None)
+        assert stripped._turns is None
+        assert stripped.check_orthogonality() == expected
+        copies = [(_with_matrices(machine, _tamper_symbol), False), (_with_matrices(machine, _tamper_marker), True)]
+        if machine.dim == 3:
+            copies.append((_with_matrices(machine, _relabel), False))
+        for copy, closed_form in copies:
+            assert (copy._turns is not None) == closed_form
+            assert copy.check_orthogonality() == reference_orthogonality(copy), copy.to_json()
+
+
+def test_check_orthogonality_of_a_machine_without_symbols_reads_the_markers_only():
+    angle = AngleSpec(1, 3)
+    c, s = angle.cos_sin(1)
+    assert c * c + s * s != 1.0  # a symbol turned by this angle would show
+    machine = Moqfa(dim=2, alphabet=(), u_left=identity(2), u_sym={}, u_right=identity(2),
+                    accepting={0}, angle=angle)
+    assert machine._turns == {}
+    assert machine.check_orthogonality() == reference_orthogonality(machine) == 0.0
+
+
+@pytest.mark.parametrize(
+    "matrix",
+    [
+        np.eye(2),
+        [[1.0, 0.0], [0.0, 1.0]],
+        [[1.0, 0.0, 0.0]] * 2,
+        [[1.0, 0.0], [0.0]],
+        [[1.0, 0.0], [0.0, 1.0, 0.0]],
+        [[True, 0], [0, 1]],
+        [[1.0, "0"], [0.0, 1.0]],
+        [[1.0, None], [0.0, 1.0]],
+        [[1.0, [0.0]], [0.0, 1.0]],
+        [[1.0, 0.0], 5],
+        {"a": 1},
+        "ab",
+        None,
+        5,
+        [],
+        identity(2),
+        turn(2, 0.6, 0.8),
+        matmul(identity(4), identity(4)),
+    ],
+)
+def test_as_rows_refuses_every_malformed_or_wrong_sized_matrix(matrix):
+    with pytest.raises(ValueError, match=r"matrix 'x' must be a 3x3 array of numbers"):
+        _as_rows(matrix, 3, "x")
+
+
+def test_as_rows_keeps_its_own_rows_and_converts_the_rest():
+    rows = turn(3, 0.6, 0.8)
+    assert _as_rows(rows, 3, "x") is rows
+    plain = _as_rows([[1, 0, 0], [0, 1, 0], [0, 0, 1]], 3, "x")
+    assert type(plain) is not _Rows and plain == identity(3)
+    assert all(type(x) is float for row in plain for x in row)
+    assert _as_rows(tuple(rows), 3, "x") == rows
+
+
+def test_package_rows_hold_only_floats():
+    matrices = [identity(dim) for dim in (1, 2, 3, 4)]
+    matrices += [turn(2, 1, 0), turn(3, 1, 0), turn(3, 0, -1), turn(3, 0.6, 0.8)]
+    matrices += [matmul(turn(3, 0, 1), turn(3, 1, 0)), matmul(identity(2), turn(2, 0.6, 0.8))]
+    for m in matrices:
+        assert type(m) is _Rows
+        assert len(set(map(len, m))) == 1 and len(m[0]) == len(m)
+        assert all(type(x) is float for row in m for x in row), m
+    assert json.dumps(turn(3, 1, 0)) == "[[1.0, 0.0, 0.0], [0.0, 1.0, -0.0], [0.0, 0.0, 1.0]]"

@@ -252,6 +252,16 @@ def test_runs_that_are_not_pairs_are_value_errors_naming_the_run(word, item):
             read(word)
 
 
+@pytest.mark.parametrize(
+    "word,item", [([5], "5"), ((("a", 1), 5), "5"), ([("a",)], "('a',)")]
+)
+def test_materialize_and_word_length_name_a_run_that_is_not_a_pair(word, item):
+    message = re.escape(f"not a (symbol, count) run: {item}")
+    for read in (materialize, word_length):
+        with pytest.raises(ValueError, match=message):
+            read(word)
+
+
 def test_materialize_and_length():
     assert materialize((("a", 2), ("b", 1))) == "aab"
     assert materialize(3) == "aaa"
