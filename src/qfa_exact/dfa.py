@@ -10,6 +10,8 @@ each one misclassify some promise instance.
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain, product
+from math import lcm
+from operator import getitem
 
 from .promise import (
     BinaryPromiseSpec,
@@ -141,8 +143,9 @@ class Dfa:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Dfa":
-        # the field types are checked here and not in __post_init__, which
-        # the binary certificate runs once per transition table
+        # the field types are checked here, where the data comes from
+        # outside, and not in __post_init__, which every DFA the package
+        # builds itself (a minimal DFA, a counterexample, a copy) runs
         return cls(
             num_states=as_int(data["states"], "states"),
             alphabet=as_alphabet(data["alphabet"]),
@@ -419,33 +422,61 @@ def certify_minimality_binary(
     transition table, start state, and accepting subset with fewer than
     d states is judged on the witnesses from enumerate_instances.
 
-    One `Dfa` per transition table serves all of its start states from
-    its orbit cache. The accepting subsets of each (table, start) are
-    resolved in closed form as in `certify_minimality_unary`: the first
-    that works is the union of the yes-witness states, unless a state
-    ends both a yes- and a no-witness. The reported machine count is
-    identical to checking subsets one by one.
+    The witnesses are read as classes, not words. In a machine with
+    fewer than d states, one symbol leads any state through a tail of at
+    most T = d - 2 states into a cycle whose length is below d, so it
+    divides L = lcm(1..d-1). Hence `count` steps end where
+    `_orbit_index(count, T + L, T)` steps do, and a^i b^m ends where its
+    pair of classes does, in every candidate. Bounds past
+    i_max = T + L - 1 or j_max = 2L - 1 add no new (a-class, b-class,
+    label): i - L, or j - L, gives the same one, since both counts stay
+    at least T. So the witnesses are drawn at those bounds, each triple
+    is kept once, and a candidate's ends are read off walks of T + L
+    steps, made once per size m for every column of targets. No `Dfa`
+    is built per transition table.
+
+    The accepting subsets of each (table, start) are resolved in closed
+    form as in `certify_minimality_unary`: the first that works is the
+    union of the yes-witness states, unless a state ends both a yes- and
+    a no-witness. Neither depends on the order or repetition of the
+    witnesses, so the classes give the same verdict, counterexample and
+    machine count as every witness word would, and the count is the one
+    that checking subsets one by one reaches.
 
     Candidate counts explode as m^(2m); the default budget admits d <= 4
     and anything larger raises EnumerationBudgetError up front.
     """
     d, _ = claimed_size(spec)
     _check_budget((m ** (2 * m) * m * 2**m for m in range(1, d)), budget, d)
-    witnesses = [
-        (counts, label is Classification.YES) for counts, label in _witness_counts(spec, i_max, j_max)
-    ]
+    tail, cycle = d - 2, lcm(*range(1, d))
+    length = tail + cycle
+    witnesses = _witness_counts(spec, min(i_max, length - 1), min(j_max, 2 * cycle - 1))
+    a_classes, b_classes, labels = zip(*dict.fromkeys(
+        (_orbit_index(n_a, length, tail), _orbit_index(n_b, length, tail), label is Classification.YES)
+        for (n_a, n_b), label in witnesses
+    ))
     # the first yes- and no-witness, a^0 b^0 and b^l, whatever the bounds
     words = tuple(word for word, _ in enumerate_instances(spec, 0, 0))
 
     def candidates():
         for m in range(1, d):
+            # walks[column][state]: the first T + L states visited from
+            # `state` by a symbol whose targets are `column`
+            walks = {}
+            for column in product(range(m), repeat=m):
+                walks[column] = paths = [[state] for state in range(m)]
+                for path in paths:
+                    for _ in range(length - 1):
+                        path.append(column[path[-1]])
             for flat in product(range(m), repeat=2 * m):
-                dfa = Dfa(m, ("a", "b"), zip(flat[::2], flat[1::2]), 0, ())
-                advance = dfa._advance
-                for start in range(m):
-                    yield dfa.delta, start, (
-                        (advance(advance(start, 0, n_a), 1, n_b), is_yes)
-                        for (n_a, n_b), is_yes in witnesses
-                    )
+                a_column, b_column = flat[::2], flat[1::2]
+                b_walks = walks[b_column]
+                delta = tuple(zip(a_column, b_column))
+                for a_walk in walks[a_column]:
+                    # lazily, so that a conflict stops the walk: the
+                    # state after a^(a-class), then after b^(b-class)
+                    after_a = map(a_walk.__getitem__, a_classes)
+                    ends = map(getitem, map(b_walks.__getitem__, after_a), b_classes)
+                    yield delta, a_walk[0], zip(ends, labels)
 
     return _search(spec, d, (i_max, j_max), ("a", "b"), candidates(), words)

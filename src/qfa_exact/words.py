@@ -58,7 +58,7 @@ def as_runs(word, alphabet) -> tuple[tuple[str, int], ...]:
         try:
             sym, count = run
         except (TypeError, ValueError):
-            raise _not_a_run(run) from None
+            raise ValueError(f"not a (symbol, count) run: {run!r}") from None
         if type(count) is not int:
             count = as_int(count, "run count")
         if sym not in alphabet:
@@ -108,39 +108,39 @@ def as_alphabet(symbols) -> tuple[str, ...]:
     raise ValueError(f"alphabet must be an array of distinct one-character strings, got {symbols!r}")
 
 
-def _not_a_run(run) -> ValueError:
-    return ValueError(f"not a (symbol, count) run: {run!r}")
+class _OneCharacterStrs:
+    """The alphabet of every one-character str, the widest one that
+    `as_alphabet` allows: what a run may name when no machine's alphabet
+    is given."""
+
+    def __contains__(self, sym) -> bool:
+        return isinstance(sym, str) and len(sym) == 1
+
+    def __repr__(self) -> str:
+        return "<one-character strings>"
 
 
-def _pair(run) -> tuple:
-    try:
-        sym, count = run
-    except (TypeError, ValueError):
-        raise _not_a_run(run) from None
-    return sym, count
+_ANY_SYMBOL = _OneCharacterStrs()
 
 
 def _runs_of(word):
-    """A non-str word as (symbol, count) pairs: an integer word through the
-    length rule of `as_runs`, anything else as given, so long as it is
-    iterable and each item is a pair."""
-    if hasattr(word, "__index__"):
-        return as_runs(word, ("a",))
-    try:
-        return map(_pair, word)
-    except TypeError:
-        raise ValueError(f"not a word: {word!r}") from None
+    """A non-str word as `as_runs` checks it: an integer word through its
+    length rule, anything else as runs over every one-character str."""
+    return as_runs(word, ("a",) if hasattr(word, "__index__") else _ANY_SYMBOL)
 
 
 def materialize(word) -> str:
-    """Expand a run-length or integer word into its literal string."""
+    """Expand a run-length or integer word into its literal string. A
+    non-str word is checked as `as_runs` checks it, each run's symbol
+    being a one-character str."""
     if isinstance(word, str):
         return word
     return "".join(sym * count for sym, count in _runs_of(word))
 
 
 def word_length(word) -> int:
-    """Number of symbols in a str, run-length or integer word."""
+    """Number of symbols in a str, run-length or integer word, checked
+    as in `materialize`."""
     if isinstance(word, str):
         return len(word)
     return sum(count for _, count in _runs_of(word))

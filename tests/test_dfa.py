@@ -3,7 +3,7 @@ import random
 import time
 from dataclasses import replace
 from itertools import product
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 
@@ -23,7 +23,8 @@ from qfa_exact import (
     smallest_modulus_alt,
     smallest_nondivisor,
 )
-from qfa_exact.dfa import build_min_dfa, claimed_size
+from qfa_exact.dfa import _search, build_min_dfa, claimed_size
+from qfa_exact.promise import _witness_counts
 
 
 def naive_final_state(dfa, word):
@@ -416,6 +417,76 @@ def test_certify_binary_matches_literal_enumeration(spec, i_max, j_max):
     else:
         assert cert.counterexample.to_dict() == survivor.to_dict()
         assert cert.counterexample_words == words
+
+
+def reference_certify_binary(spec, i_max=64, j_max=8):
+    """Oracle for the class reduction in `certify_minimality_binary`:
+    the same search over every witness word, one `Dfa` per transition
+    table, each word run through the DFA's orbit cache."""
+    d, _ = claimed_size(spec)
+    witnesses = [
+        (counts, label is Classification.YES) for counts, label in _witness_counts(spec, i_max, j_max)
+    ]
+    words = tuple(word for word, _ in enumerate_instances(spec, 0, 0))
+
+    def candidates():
+        for m in range(1, d):
+            for flat in product(range(m), repeat=2 * m):
+                dfa = Dfa(m, ("a", "b"), zip(flat[::2], flat[1::2]), 0, ())
+                advance = dfa._advance
+                for start in range(m):
+                    yield dfa.delta, start, (
+                        (advance(advance(start, 0, n_a), 1, n_b), is_yes)
+                        for (n_a, n_b), is_yes in witnesses
+                    )
+
+    return _search(spec, d, (i_max, j_max), ("a", "b"), candidates(), words)
+
+
+def test_certify_binary_equals_the_per_witness_oracle_on_every_in_budget_spec():
+    specs = [BinaryPromiseSpec(l) for l in range(1, 61)]
+    specs += [BinaryPromiseSpec(l, N) for N in range(2, 25) for l in range(1, N)]
+    checked = 0
+    for spec in specs:
+        if claimed_size(spec)[0] <= 4:
+            assert certify_minimality_binary(spec).to_dict() == reference_certify_binary(spec).to_dict(), spec
+            checked += 1
+    assert checked == 200
+
+
+def _cut_bounds(d):
+    # the bounds past which the class reduction draws no new witness
+    tail, cycle = d - 2, lcm(*range(1, d))
+    cuts_i = [tail + cycle - 1, tail + cycle, tail + cycle + 1]
+    cuts_j = [2 * cycle - 1, 2 * cycle, 2 * cycle + 1]
+    return [(0, 0), (1, 0), (2, 1), (64, 8)] + list(product(cuts_i, cuts_j))
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        BinaryPromiseSpec(1),
+        BinaryPromiseSpec(1, 2),
+        BinaryPromiseSpec(2),
+        BinaryPromiseSpec(1, 3),
+        BinaryPromiseSpec(3, 6),
+        BinaryPromiseSpec(6),
+        BinaryPromiseSpec(2, 4),
+        BinaryPromiseSpec(6, 12),
+    ],
+)
+def test_certify_binary_equals_the_per_witness_oracle_at_the_cut_points(spec):
+    d, _ = claimed_size(spec)
+    for bounds in _cut_bounds(d):
+        cert = certify_minimality_binary(spec, *bounds)
+        assert cert.to_dict() == reference_certify_binary(spec, *bounds).to_dict(), bounds
+
+
+@pytest.mark.parametrize("spec", [BinaryPromiseSpec(12), BinaryPromiseSpec(2, 5)])
+def test_certify_binary_d5_equals_the_per_witness_oracle(spec):
+    cert = certify_minimality_binary(spec, budget=5 * 10**6)
+    assert cert.claimed_d == 5
+    assert cert.to_dict() == reference_certify_binary(spec).to_dict()
 
 
 def test_certify_binary_counterexamples_under_weak_witnesses():

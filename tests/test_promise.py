@@ -262,6 +262,26 @@ def test_materialize_and_word_length_name_a_run_that_is_not_a_pair(word, item):
             read(word)
 
 
+@pytest.mark.parametrize(
+    "word,message",
+    [
+        ([("a", -3)], "negative run count -3 for symbol 'a'"),
+        ([("a", 2.5)], "run count must be an integer, got 2.5"),
+        ([("a", True)], "run count must be an integer, got True"),
+        ([("a", "2")], "run count must be an integer, got '2'"),
+        ([(5, 2)], "symbol 5 not in alphabet"),
+        ([("ab", 2)], "symbol 'ab' not in alphabet"),
+        ((("a", 1), (None, 1)), "symbol None not in alphabet"),
+    ],
+)
+def test_materialize_and_word_length_check_runs_as_as_runs_does(word, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        as_runs(word, ("a",))
+    for read in (materialize, word_length):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            read(word)
+
+
 def test_materialize_and_length():
     assert materialize((("a", 2), ("b", 1))) == "aab"
     assert materialize(3) == "aaa"
