@@ -18,7 +18,6 @@ from .promise import (
     Classification,
     UnaryPromiseSpec,
     _witness_counts,
-    enumerate_instances,
     family_of,
     spec_to_dict,
 )
@@ -86,16 +85,28 @@ class Dfa:
             raise ValueError("accepting states out of range")
 
     def _orbit(self, start: int, sym_index: int) -> tuple[list[int], int]:
-        """Walk one symbol from `start` up to the first repeated state and
-        cache the path with the index where its cycle starts."""
+        """Walk one symbol from `start` up to the first repeated state, or
+        up to a state whose orbit is cached, which is then spliced on,
+        and cache the path with the index where its cycle starts. A
+        spliced path may hold a cycle state twice (0 in [0, 1, 2, 0] with
+        the cycle from 1); `_orbit_index` reads it all the same, and a
+        path stays below twice the state count."""
+        orbits = self._orbits
         seen = {}
         path = []
         state = start
         while state not in seen:
+            cached = orbits.get((state, sym_index))
+            if cached is not None:
+                cached_path, cached_start = cached
+                orbit = (path + cached_path, len(path) + cached_start)
+                break
             seen[state] = len(path)
             path.append(state)
             state = self.delta[state][sym_index]
-        orbit = self._orbits[start, sym_index] = (path, seen[state])
+        else:
+            orbit = (path, seen[state])
+        orbits[start, sym_index] = orbit
         return orbit
 
     def _advance(self, state: int, sym_index: int, count: int) -> int:
@@ -105,18 +116,28 @@ class Dfa:
         path, cycle_start = orbit if orbit is not None else self._orbit(state, sym_index)
         return path[_orbit_index(count, len(path), cycle_start)]
 
-    def _final_states(self, symbols, counts) -> list:
-        """The final state of each word in `counts`, a word being a tuple
-        of counts aligned with `symbols` (as `promise._witness_counts`
-        gives them). Unchecked: the counts must be nonnegative ints, and
-        a symbol outside the alphabet must count 0 in every word."""
-        advance = self._advance
-        states = [self.start] * len(counts)
-        # one pass per symbol, over all words at once
-        for k, sym in enumerate(symbols):
+    def _final_states(self, symbols, columns) -> list:
+        """The final state of each word in `columns`, count columns
+        aligned with `symbols` (as `promise._witness_columns` gives them):
+        the k-th word counts column[k] of each symbol. Unchecked: the
+        counts must be nonnegative ints, and a symbol outside the alphabet
+        must count 0 in every word."""
+        orbits = self._orbits
+        states = [self.start] * len(columns[0])
+        # one pass per symbol, over all words at once, reading the orbit
+        # of each distinct state once
+        for sym, column in zip(symbols, columns):
             if sym in self.alphabet:
                 sym_index = self.alphabet.index(sym)
-                states = [advance(state, sym_index, word[k]) for state, word in zip(states, counts)]
+                walks = {}
+                for state in set(states):
+                    path, cycle_start = orbits.get((state, sym_index)) or self._orbit(state, sym_index)
+                    walks[state] = path, len(path), cycle_start
+                # `_orbit_index`, inlined: a call per word slows the pass by a fifth
+                states = [
+                    path[n if n < length else cycle_start + (n - cycle_start) % (length - cycle_start)]
+                    for (path, length, cycle_start), n in zip(map(walks.__getitem__, states), column)
+                ]
         return states
 
     def final_state_of(self, word) -> int:
@@ -385,12 +406,15 @@ def certify_minimality_unary(
     cycle of t states, so machines are enumerated as (k, t) splits of
     each size m < d together with every accepting subset. The default
     i_max = 2d + 2 walks past any tail and around any cycle at least
-    once. The accepting subsets of each split are resolved in closed
-    form: a subset works iff it holds every yes-witness state and no
-    no-witness state, so the first one in enumeration order is the
-    union of the yes-witness states, and none works when a state ends
-    both kinds. The reported machine count is identical to checking
-    subsets one by one.
+    once. A larger i_max adds no new (state, label) pair: a witness with
+    i >= 1 is at least N >= d symbols long, past any tail, so its end
+    state repeats in i with the cycle's period t < d. So witnesses past
+    i = 2d + 2 are not drawn, and `witness_bounds` still reports i_max.
+    The accepting subsets of each split are resolved in closed form: a
+    subset works iff it holds every yes-witness state and no no-witness
+    state, so the first one in enumeration order is the union of the
+    yes-witness states, and none works when a state ends both kinds. The
+    reported machine count is identical to checking subsets one by one.
     """
     d = smallest_modulus(N, l)
     if i_max is None:
@@ -399,7 +423,7 @@ def certify_minimality_unary(
         raise ValueError("witness bound must be nonnegative")
     spec = UnaryPromiseSpec(N, 0, l)
     _check_budget((m * 2**m for m in range(1, d)), budget, d)
-    witnesses = [(i * N + r, r == 0) for i in range(i_max + 1) for r in (0, l)]
+    witnesses = [(i * N + r, r == 0) for i in range(min(i_max, 2 * d + 2) + 1) for r in (0, l)]
 
     def candidates():
         # state i steps to i + 1 and the last one back to state `tail`,
@@ -456,7 +480,7 @@ def certify_minimality_binary(
         for (n_a, n_b), label in witnesses
     ))
     # the first yes- and no-witness, a^0 b^0 and b^l, whatever the bounds
-    words = tuple(word for word, _ in enumerate_instances(spec, 0, 0))
+    words = ((), (("b", spec.l),))
 
     def candidates():
         for m in range(1, d):

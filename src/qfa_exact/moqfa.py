@@ -292,22 +292,25 @@ class Moqfa:
             t += turns[sym] * count
         return t % self.angle.D
 
-    def _class_keys(self, symbols, counts) -> list:
-        """`class_of` of each word in `counts`, a word being a tuple of
-        counts aligned with `symbols` (as `promise._witness_counts` gives
-        them). Unchecked: the symbols must be distinct, the counts
-        nonnegative ints, and a symbol outside the alphabet must count 0
-        in every word."""
+    def _class_keys(self, symbols, columns) -> list:
+        """`class_of` of each word in `columns`, count columns aligned
+        with `symbols` (as `promise._witness_columns` gives them): the
+        k-th word counts column[k] of each symbol. Unchecked: the symbols
+        must be distinct, the counts nonnegative ints, and a symbol
+        outside the alphabet must count 0 in every word."""
         turns = self._turns
         if turns is None:
             # off the closed form a class costs matrix powers, which dwarf a word check
-            return [self.reduced_runs(tuple([run for run in zip(symbols, word) if run[1]])) for word in counts]
-        keys = [0] * len(counts)
+            return [
+                self.reduced_runs(tuple([run for run in zip(symbols, word) if run[1]]))
+                for word in zip(*columns)
+            ]
+        keys = [0] * len(columns[0])
         # one pass per symbol, over all words at once
-        for k, sym in enumerate(symbols):
+        for sym, column in zip(symbols, columns):
             if sym in turns:
                 turn = turns[sym]
-                keys = [key + turn * word[k] for key, word in zip(keys, counts)]
+                keys = [key + turn * n for key, n in zip(keys, column)]
         D = self.angle.D
         return [key % D for key in keys]
 

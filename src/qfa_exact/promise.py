@@ -9,7 +9,6 @@ no-language: b-surplus exactly l, or surplus l modulo N.
 
 import enum
 from dataclasses import dataclass
-from itertools import repeat
 
 from .words import as_int, as_runs, int_fields
 
@@ -106,31 +105,39 @@ def classify_binary(spec: BinaryPromiseSpec, word) -> Classification:
     return Classification.OUTSIDE
 
 
-def _witness_counts(spec, i_max: int = DEFAULT_I_MAX, j_max: int = DEFAULT_J_MAX) -> list:
-    """List (counts, label) for every witness in `enumerate_instances`
-    order. The counts are a tuple aligned with the symbols the word
-    spells: (n,) for the unary word of length n (`A`), (i, m) for
-    a^i b^m (`B`, `BN`)."""
+def _witness_columns(spec, i_max: int = DEFAULT_I_MAX, j_max: int = DEFAULT_J_MAX) -> tuple:
+    """The yes-witnesses and the no-witnesses of `enumerate_instances`,
+    as two tuples of count columns aligned with `_witness_symbols`: the
+    k-th word of a side counts column[k] of each symbol. `A` has one
+    column per side, the lengths r + iN for its residue r; `B` and `BN`
+    have the a-counts i and the b-counts i + s, over the shifts s (0 on
+    the yes-side, l or l + jN on the no-side)."""
     family = family_of(spec)
     if i_max < 0 or j_max < 0:
         raise ValueError("instance bounds must be nonnegative")
     if family == "A":
-        # r_yes and r_no lie in [0, N), so each i's pair precedes the next
-        pair = sorted(((spec.r_yes, Classification.YES), (spec.r_no, Classification.NO)))
-        return [((i * spec.N + r,), label) for i in range(i_max + 1) for r, label in pair]
-    # a-heavy words sort lexicographically before b-heavy ones of equal
-    # length: the sort key is (length, b-count), packed in one int as
-    # length * K + m with K above every b-count m; i = length - m, and
-    # the word is a yes-word iff i = m
-    shifts = [0] + ([spec.l] if family == "B" else [j * spec.N + spec.l for j in range(j_max + 1)])
-    K = i_max + shifts[-1] + 1
-    keys = sorted([(2 * i + s) * K + i + s for i in range(i_max + 1) for s in shifts])
-    yes, no = Classification.YES, Classification.NO  # a member lookup is slow
-    return [((length - m, m), yes if length == 2 * m else no) for length, m in map(divmod, keys, repeat(K))]
+        return tuple((range(r, r + (i_max + 1) * spec.N, spec.N),) for r in (spec.r_yes, spec.r_no))
+    i = range(i_max + 1)
+    shifts = [spec.l] if family == "B" else [j * spec.N + spec.l for j in range(j_max + 1)]
+    return (i, i), (list(i) * len(shifts), [n + s for s in shifts for n in i])
+
+
+def _witness_counts(spec, i_max: int = DEFAULT_I_MAX, j_max: int = DEFAULT_J_MAX) -> list:
+    """List (counts, label) for every witness in `enumerate_instances`
+    order: the words of `_witness_columns`, each a tuple of counts,
+    sorted by length and then by their last count, so that a-heavy words
+    come before b-heavy ones of equal length."""
+    witnesses = [
+        (counts, label)
+        for columns, label in zip(_witness_columns(spec, i_max, j_max), (Classification.YES, Classification.NO))
+        for counts in zip(*columns)
+    ]
+    witnesses.sort(key=lambda witness: (sum(witness[0]), witness[0][-1]))
+    return witnesses
 
 
 def _witness_symbols(spec, alphabet) -> tuple:
-    """The symbols that the counts of `_witness_counts` count, read over
+    """The symbols that the counts of `_witness_columns` count, read over
     `alphabet`: its first symbol for `A`, since a unary word names none."""
     return alphabet[:1] if isinstance(spec, UnaryPromiseSpec) else ("a", "b")
 

@@ -21,9 +21,8 @@ from .dfa import (
 from .promise import (
     DEFAULT_I_MAX,
     DEFAULT_J_MAX,
-    Classification,
     UnaryPromiseSpec,
-    _witness_counts,
+    _witness_columns,
     _witness_symbols,
     enumerate_instances,
     family_of,
@@ -77,17 +76,6 @@ def _check_alphabets(spec, i_max: int, j_max: int, alphabets) -> None:
                 as_runs(word, alphabet)
 
 
-def _witness_classes(machine: "Moqfa", spec, i_max: int, j_max: int, *alphabets):
-    """The witnesses of `spec` as (counts, label) pairs in the form of
-    `promise._witness_counts`, and the class key of each; words of one
-    class share the probability `machine._final(key)` gives. The
-    machine's alphabet and each of `alphabets` are checked first."""
-    _check_alphabets(spec, i_max, j_max, (machine.alphabet, *alphabets))
-    witnesses = _witness_counts(spec, i_max, j_max)
-    symbols = _witness_symbols(spec, machine.alphabet)
-    return witnesses, machine._class_keys(symbols, [counts for counts, _ in witnesses])
-
-
 def verify_exactness(
     machine: "Moqfa",
     spec,
@@ -98,18 +86,15 @@ def verify_exactness(
 ) -> ExactnessReport:
     """Run the machine on every enumerated promise instance and record the
     worst acceptance-probability deviation on each side."""
-    witnesses, keys = _witness_classes(machine, spec, i_max, j_max)
-    labels = [label for _, label in witnesses]
-    yes_checked = labels.count(Classification.YES)
-    no_checked = len(labels) - yes_checked
-    probabilities = {key: machine._final(key)[1] for key in dict.fromkeys(keys)}
-    max_yes_deficit = max_no_leak = 0.0
+    _check_alphabets(spec, i_max, j_max, (machine.alphabet,))
+    symbols = _witness_symbols(spec, machine.alphabet)
+    sides = _witness_columns(spec, i_max, j_max)
+    yes_keys, no_keys = (machine._class_keys(symbols, columns) for columns in sides)
+    yes_checked, no_checked = len(yes_keys), len(no_keys)
     # the worst deviation on each side is the worst over its classes
-    for key, label in dict.fromkeys(zip(keys, labels)):
-        if label is Classification.YES:
-            max_yes_deficit = max(max_yes_deficit, abs(1.0 - probabilities[key]))
-        else:
-            max_no_leak = max(max_no_leak, probabilities[key])
+    final = machine._final
+    max_yes_deficit = max([0.0] + [abs(1.0 - final(key)[1]) for key in set(yes_keys)])
+    max_no_leak = max([0.0] + [final(key)[1] for key in set(no_keys)])
     passed = (
         yes_checked > 0
         and no_checked > 0
@@ -142,16 +127,19 @@ def cross_check(
     """True iff quantum and classical decisions agree on every witness:
     probability within tolerance of 1 exactly when the DFA accepts, and
     within tolerance of 0 exactly when it rejects."""
-    witnesses, keys = _witness_classes(machine, spec, i_max, j_max, dfa.alphabet)
-    states = dfa._final_states(_witness_symbols(spec, dfa.alphabet), [counts for counts, _ in witnesses])
-    # each (class, DFA state) pair once, in witness order, up to the first disagreement
-    for key, state in dict.fromkeys(zip(keys, states)):
-        prob = machine._final(key)[1]
-        accepted = state in dfa.accepting
-        if (prob >= 1.0 - tolerance) != accepted:
-            return False
-        if (prob <= tolerance) != (not accepted):
-            return False
+    _check_alphabets(spec, i_max, j_max, (machine.alphabet, dfa.alphabet))
+    symbols = _witness_symbols(spec, machine.alphabet)
+    dfa_symbols = _witness_symbols(spec, dfa.alphabet)
+    # each (class, DFA state) pair once per side, up to the first disagreement
+    for columns in _witness_columns(spec, i_max, j_max):
+        keys = machine._class_keys(symbols, columns)
+        for key, state in set(zip(keys, dfa._final_states(dfa_symbols, columns))):
+            prob = machine._final(key)[1]
+            accepted = state in dfa.accepting
+            if (prob >= 1.0 - tolerance) != accepted:
+                return False
+            if (prob <= tolerance) != (not accepted):
+                return False
     return True
 
 

@@ -111,6 +111,38 @@ def test_cached_orbits_match_naive_oracle_on_random_tails(seed):
     assert len(dfa._orbits) <= m * len(alphabet)
 
 
+@pytest.mark.parametrize("seed", range(24))
+def test_spliced_orbits_match_a_step_by_step_walk(seed):
+    # the built minimal DFAs are pure cycles, which splice only onto
+    # cycles; random tables have tails and several cycles, and warming
+    # the cache from a shuffled set of states, one symbol at a time, lands
+    # later walks on cached tails and cycles alike
+    rng = random.Random(seed)
+    m = rng.randint(1, 8)
+    alphabet = ("a", "b")[: rng.randint(1, 2)]
+    delta = tuple(tuple(rng.randrange(m) for _ in alphabet) for _ in range(m))
+    counts = range(3 * m + 1)
+    words = list(product(counts, repeat=len(alphabet)))
+    columns = tuple(zip(*words))
+    for _ in range(4):
+        dfa = Dfa(m, alphabet, delta, rng.randrange(m), frozenset())
+        warm = [(state, k) for state in range(m) for k in range(len(alphabet))]
+        rng.shuffle(warm)
+        for state, k in warm[: rng.randint(0, len(warm))]:
+            dfa._advance(state, k, 0)
+        expected = [naive_final_state(dfa, tuple(zip(alphabet, word))) for word in words]
+        assert dfa._final_states(alphabet, columns) == expected, (delta, dfa.start)
+        assert [dfa.final_state_of(tuple(zip(alphabet, word))) for word in words] == expected
+        # every cached orbit, spliced or walked, agrees with stepping
+        for (state, k), _ in list(dfa._orbits.items()):
+            for n in counts:
+                stepped = state
+                for _ in range(n):
+                    stepped = delta[stepped][k]
+                assert dfa._advance(state, k, n) == stepped, (delta, state, k, n)
+        assert len(dfa._orbits) <= m * len(alphabet)
+
+
 def test_replace_starts_with_an_empty_orbit_cache():
     dfa = Dfa(3, ("a",), ((1,), (2,), (0,)), 0, frozenset({0}))
     assert dfa.accepts(3)
@@ -323,6 +355,25 @@ def test_certify_unary_matches_literal_enumeration(N, l):
             assert cert.counterexample.to_dict() == survivor.to_dict()
             assert cert.counterexample_words == (0, l)
     assert certify_minimality_unary(N, l).certified
+
+
+@pytest.mark.parametrize("N,l", [(6, 3), (15, 5), (7, 3), (12, 9), (16, 12)])
+def test_certify_unary_past_the_witness_cut_equals_the_literal_enumeration(N, l):
+    # witnesses past i = 2d + 2 are not drawn; the literal search draws them
+    d = smallest_modulus(N, l)
+    for i_max in (2 * d + 2, 2 * d + 3, 3 * d + 7):
+        cert = certify_minimality_unary(N, l, i_max)
+        checked, survivor = literal_certify_unary(N, l, i_max)
+        assert cert.witness_bounds == (i_max, None)
+        assert (cert.machines_checked, cert.certified) == (checked, survivor is None)
+        assert cert.to_dict() == {**certify_minimality_unary(N, l).to_dict(), "witness_bounds": [i_max, None]}
+
+
+def test_certify_unary_takes_a_huge_witness_bound_in_constant_space():
+    start = time.perf_counter()
+    cert = certify_minimality_unary(7, 3, i_max=10**12)
+    assert time.perf_counter() - start < 1.0
+    assert (cert.certified, cert.machines_checked, cert.witness_bounds) == (True, 642, (10**12, None))
 
 
 def test_certify_unary_examples():

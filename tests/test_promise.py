@@ -1,4 +1,5 @@
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from qfa_exact import (
     spec_from_dict,
     spec_to_dict,
 )
-from qfa_exact.promise import family_of
+from qfa_exact.promise import _witness_columns, family_of
 from qfa_exact.words import as_runs, dump_json, load_json, materialize, word_length
 
 YES, NO, OUT = Classification.YES, Classification.NO, Classification.OUTSIDE
@@ -395,3 +396,23 @@ def test_binary_enumeration_order_matches_the_word_sort_key(spec, i_max, j_max):
                                                dict(pair[0]).get("b", 0)))
     assert items == expected
     assert len({word for word, _ in items}) == len(items)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [UnaryPromiseSpec(7, 0, 3), UnaryPromiseSpec(12, 9, 5), UnaryPromiseSpec(2, 1, 0),
+     BinaryPromiseSpec(1), BinaryPromiseSpec(4), BinaryPromiseSpec(1, 2), BinaryPromiseSpec(10, 13)],
+)
+@pytest.mark.parametrize("i_max, j_max", [(0, 0), (1, 0), (3, 2), (32, 4)])
+def test_witness_columns_are_the_instances_split_by_label(spec, i_max, j_max):
+    yes, no = _witness_columns(spec, i_max, j_max)
+    expected = {YES: Counter(), NO: Counter()}
+    for word, label in enumerate_instances(spec, i_max, j_max):
+        if isinstance(spec, UnaryPromiseSpec):
+            expected[label][word,] += 1
+        else:
+            runs = dict(word)
+            expected[label][runs.get("a", 0), runs.get("b", 0)] += 1
+    for columns, label in ((yes, YES), (no, NO)):
+        assert len({len(column) for column in columns}) == 1
+        assert Counter(zip(*columns)) == expected[label]

@@ -1,4 +1,5 @@
 import io
+import random
 import re
 from dataclasses import fields, replace
 
@@ -26,6 +27,7 @@ from qfa_exact import (
     write_separation_csv,
 )
 from qfa_exact.dfa import build_min_dfa
+from qfa_exact.synth import build_for
 
 
 def test_verify_exactness_passes_for_matching_machine():
@@ -236,6 +238,31 @@ def reference_cross_check(machine, dfa, spec, i_max, j_max, tolerance=1e-9):
         if (prob >= 1.0 - tolerance) != accepted or (prob <= tolerance) != (not accepted):
             return False
     return True
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_cross_check_equals_the_per_word_oracle_on_random_automata(seed):
+    # random tables with tails and several cycles, and the minimal DFA
+    # with a random accepting set, against each family's built machine
+    rng = random.Random(seed)
+    N = rng.randint(2, 12)
+    r_yes, r_no = rng.sample(range(N), 2)
+    l = rng.randint(1, N - 1)
+    for spec in (UnaryPromiseSpec(N, r_yes, r_no), BinaryPromiseSpec(l), BinaryPromiseSpec(l, N)):
+        machine = build_for(spec)[0]
+        dfa = build_min_dfa(spec)
+        m = rng.randint(1, 8)
+        table = [[rng.randrange(m) for _ in dfa.alphabet] for _ in range(m)]
+        automata = [
+            Dfa(m, dfa.alphabet, table, rng.randrange(m), {s for s in range(m) if rng.random() < 0.5}),
+            replace(dfa, accepting={s for s in range(dfa.num_states) if rng.random() < 0.5}),
+            dfa,
+        ]
+        for automaton in automata:
+            for i_max, j_max in ((0, 0), (3, 2), (12, 3)):
+                assert cross_check(machine, automaton, spec, i_max, j_max) == reference_cross_check(
+                    machine, automaton, spec, i_max, j_max
+                ), (spec, automaton, i_max)
 
 
 def _relabelled(machine):
