@@ -10,7 +10,7 @@ each one misclassify some promise instance.
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain, product
-from math import lcm
+from math import gcd, lcm
 from operator import getitem
 
 from .promise import (
@@ -37,6 +37,18 @@ def _orbit_index(count: int, length: int, cycle_start: int) -> int:
     if count < length:
         return count
     return cycle_start + (count - cycle_start) % (length - cycle_start)
+
+
+def _counted_period(cycle_start: int, length: int, lowest: int, step: int) -> tuple[int, int]:
+    """(tail, period) in k of the state after lowest + k * step or more
+    steps along an orbit with this cycle start and cycle length."""
+    return max(0, -((lowest - cycle_start) // step)), length // gcd(step, length)
+
+
+def _within(bound: int, tail: int, period: int) -> tuple:
+    """(tail, period), the period None when tail + period - 1 passes
+    `bound`, so that a sweep up to the bound meets no repeat."""
+    return tail, (period if tail + period - 1 <= bound else None)
 
 
 class _Table(tuple):
@@ -87,10 +99,11 @@ class Dfa:
     def _orbit(self, start: int, sym_index: int) -> tuple[list[int], int]:
         """Walk one symbol from `start` up to the first repeated state, or
         up to a state whose orbit is cached, which is then spliced on,
-        and cache the path with the index where its cycle starts. A
-        spliced path may hold a cycle state twice (0 in [0, 1, 2, 0] with
-        the cycle from 1); `_orbit_index` reads it all the same, and a
-        path stays below twice the state count."""
+        and cache the path with the index where its cycle starts. Either
+        way the path holds the tail and then the cycle once, each state
+        once: a splice onto a cycle state drops the cycle's last states
+        when the walk came along them (from 1 onto 0's orbit [0, 2, 1],
+        [1, 0, 2] with the cycle from 0, not [1, 0, 2, 1] from 1)."""
         orbits = self._orbits
         seen = {}
         path = []
@@ -99,7 +112,13 @@ class Dfa:
             cached = orbits.get((state, sym_index))
             if cached is not None:
                 cached_path, cached_start = cached
-                orbit = (path + cached_path, len(path) + cached_start)
+                on_cycle = 0
+                if cached_start == 0:
+                    # the walk's last states on the cycle are its last ones
+                    while on_cycle < len(path) and path[-1 - on_cycle] == cached_path[-1 - on_cycle]:
+                        on_cycle += 1
+                kept = len(cached_path) - on_cycle
+                orbit = (path + cached_path[:kept], len(path) - on_cycle + cached_start)
                 break
             seen[state] = len(path)
             path.append(state)
@@ -139,6 +158,56 @@ class Dfa:
                     for (path, length, cycle_start), n in zip(map(walks.__getitem__, states), column)
                 ]
         return states
+
+    def _witness_periods(self, spec, symbols, i_max: int, j_max: int) -> tuple:
+        """(tail, period) of `_final_states` along i and along j over the
+        witness grid of `promise._witness_columns`, read over `symbols`:
+        two witnesses of one side whose index along the axis is at least
+        the tail and differs by a multiple of the period, the other index
+        equal, end in one state. Along i this holds for every j. The period
+        is None where tail + period - 1 passes the axis's bound; the orbits
+        read are among those that the sweep up to the bounds reads.
+
+        A count n of one symbol from state x ends where n + L does once
+        n >= c, for the cycle start c and cycle length L of x's orbit.
+        Unary witnesses count r + iN. A binary witness a^i b^(i+s), with
+        s >= 0 and s = l + jN on the BN no-side, repeats in i once a^i
+        has reached the a-cycle and i has passed the b-tails of its
+        states, and in j once l + jN has passed the b-tail of the state
+        that a^i reaches."""
+        orbits = self._orbits
+        if isinstance(spec, UnaryPromiseSpec):
+            sym_index = self.alphabet.index(symbols[0])
+            path, c = orbits.get((self.start, sym_index)) or self._orbit(self.start, sym_index)
+            lowest = min(spec.r_yes, spec.r_no)
+            return _within(i_max, *_counted_period(c, len(path) - c, lowest, spec.N)), (0, 1)
+        a, b = symbols
+        b_index = self.alphabet.index(b)
+        if a in self.alphabet:
+            a_index = self.alphabet.index(a)
+            a_path, c_a = orbits.get((self.start, a_index)) or self._orbit(self.start, a_index)
+        else:  # the check of the alphabets has left only i = 0
+            a_path, c_a = [self.start], 0
+        # along i: the a-cycle, and the b-orbit of each of its states
+        tail, period = c_a, len(a_path) - c_a
+        for x in a_path[c_a:]:
+            if tail + period - 1 > i_max:
+                break
+            path, c = orbits.get((x, b_index)) or self._orbit(x, b_index)
+            tail, period = max(tail, c), lcm(period, len(path) - c)
+        i_axis = _within(i_max, tail, period)
+        if spec.N is None:  # `B` witnesses have no j
+            return i_axis, (0, 1)
+        # along j: the b-orbit of each state that some a^i reaches
+        tail, period = 0, 1
+        for x in a_path[: i_max + 1]:
+            path, c = orbits.get((x, b_index)) or self._orbit(x, b_index)
+            x_tail, x_period = _counted_period(c, len(path) - c, spec.l, spec.N)
+            tail, period = max(tail, x_tail), lcm(period, x_period)
+            if tail + period - 1 > j_max:
+                break
+        j_axis = _within(j_max, tail, period)
+        return i_axis, j_axis
 
     def final_state_of(self, word) -> int:
         state = self.start

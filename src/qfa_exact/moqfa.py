@@ -314,6 +314,22 @@ class Moqfa:
         D = self.angle.D
         return [key % D for key in keys]
 
+    def _class_period(self, symbols, steps) -> int | None:
+        """A period of `class_of` along a line of words, each counting
+        steps[k] more of symbols[k] than the one before (aligned as in
+        `_class_keys`): words a multiple of it apart share a class. None
+        for a machine without an angle, whose key keeps every count."""
+        if not any(steps):
+            return 1
+        if self.angle is None:
+            return None
+        D = self.angle.D
+        turns = self._turns
+        if turns is None:
+            # `reduced_runs` reduces each count mod D on its own
+            return math.lcm(*[D // math.gcd(step, D) for step in steps])
+        return D // math.gcd(sum([turns.get(sym, 0) * step for sym, step in zip(symbols, steps)]), D)
+
     def final_state(self, word):
         """State vector after left-marker, word, right-marker on basis state
         0, as an ndarray."""

@@ -112,14 +112,38 @@ def _witness_columns(spec, i_max: int = DEFAULT_I_MAX, j_max: int = DEFAULT_J_MA
     column per side, the lengths r + iN for its residue r; `B` and `BN`
     have the a-counts i and the b-counts i + s, over the shifts s (0 on
     the yes-side, l or l + jN on the no-side)."""
-    family = family_of(spec)
-    if i_max < 0 or j_max < 0:
-        raise ValueError("instance bounds must be nonnegative")
+    family = _grid_family(spec, i_max, j_max)
     if family == "A":
         return tuple((range(r, r + (i_max + 1) * spec.N, spec.N),) for r in (spec.r_yes, spec.r_no))
     i = range(i_max + 1)
     shifts = [spec.l] if family == "B" else [j * spec.N + spec.l for j in range(j_max + 1)]
     return (i, i), (list(i) * len(shifts), [n + s for s in shifts for n in i])
+
+
+def _grid_family(spec, i_max: int, j_max: int) -> str:
+    """The family of `spec`, once the witness bounds are checked."""
+    family = family_of(spec)
+    if i_max < 0 or j_max < 0:
+        raise ValueError("instance bounds must be nonnegative")
+    return family
+
+
+def _witness_sizes(spec, i_max: int, j_max: int) -> tuple[int, int]:
+    """The numbers of yes- and of no-witnesses in `_witness_columns`,
+    without building them."""
+    family = _grid_family(spec, i_max, j_max)
+    return i_max + 1, (i_max + 1) * (j_max + 1 if family == "BN" else 1)
+
+
+def _witness_steps(spec) -> tuple:
+    """How the counts of `_witness_columns` grow with the generator
+    indices: (i-steps, j-steps), each aligned with `_witness_symbols`.
+    Raising i by one adds i-steps[k] of the k-th symbol to a witness, and
+    raising j by one adds j-steps[k]."""
+    family = family_of(spec)
+    if family == "A":
+        return (spec.N,), (0,)
+    return (1, 1), (0, 0 if family == "B" else spec.N)
 
 
 def _witness_counts(spec, i_max: int = DEFAULT_I_MAX, j_max: int = DEFAULT_J_MAX) -> list:

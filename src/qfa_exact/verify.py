@@ -8,6 +8,7 @@ the quantum-vs-DFA state-count table.
 
 import csv
 from dataclasses import dataclass
+from math import lcm
 from typing import TYPE_CHECKING
 
 from .dfa import (
@@ -22,7 +23,10 @@ from .promise import (
     DEFAULT_I_MAX,
     DEFAULT_J_MAX,
     UnaryPromiseSpec,
+    _grid_family,
     _witness_columns,
+    _witness_sizes,
+    _witness_steps,
     _witness_symbols,
     enumerate_instances,
     family_of,
@@ -40,7 +44,12 @@ SEPARATION_CSV_HEADER = ("family", "N", "l", "r1", "r2", "qfa_states", "dfa_stat
 
 @dataclass(frozen=True)
 class ExactnessReport:
-    """Worst-case deviations from exact acceptance over a witness sweep."""
+    """Worst-case deviations from exact acceptance over a witness sweep.
+
+    `yes_checked` and `no_checked` count every witness up to the bounds
+    `i_max` and `j_max`. The sweep evaluates only those up to the point
+    past which every class key repeats, and so covers the rest by their
+    period: the worst deviations are those of all counted witnesses."""
 
     spec: object
     machine_states: int
@@ -65,15 +74,49 @@ def _check_alphabets(spec, i_max: int, j_max: int, alphabets) -> None:
     """Raise the ValueError that reading each witness as a word over each
     alphabet in turn raises first, if any. The witnesses are walked only
     when some alphabet lacks a symbol the family uses, since they may
-    avoid it (a b-only machine reads every witness with i_max = 0)."""
+    avoid it (a b-only machine reads every witness with i_max = 0). Only
+    those with i <= 1 and j = 0 are walked: the first witness to hold an
+    `a` is ab, and the first to hold a `b` is ab or b^l, and any unary
+    witness raises the same error as the first."""
     if isinstance(spec, UnaryPromiseSpec):
         suspect = any(len(alphabet) != 1 for alphabet in alphabets)
     else:
         suspect = any(sym not in alphabet for alphabet in alphabets for sym in "ab")
     if suspect:
-        for word, _ in enumerate_instances(spec, i_max, j_max):
+        for word, _ in enumerate_instances(spec, min(i_max, 1), min(j_max, 0)):
             for alphabet in alphabets:
                 as_runs(word, alphabet)
+
+
+def _cut(bound: int, *axes) -> int:
+    """The last index along one axis of the witness grid that a sweep
+    must visit. Each of `axes` is the (tail, period) of one key of the
+    witnesses along it, the period None where the key has none within
+    the bound: past the largest tail plus the lcm of the periods, minus
+    one, every tuple of keys repeats one met before."""
+    tail, period = 0, 1
+    for axis_tail, axis_period in axes:
+        if axis_period is None:
+            return bound
+        tail, period = max(tail, axis_tail), lcm(period, axis_period)
+    return min(bound, tail + period - 1)
+
+
+def _sweep_bounds(
+    spec, i_max: int, j_max: int, machine: "Moqfa", symbols, dfa_axes=((0, 1), (0, 1))
+) -> tuple[int, int]:
+    """The bounds on i and j up to which a sweep must visit the witness
+    grid to meet every class key of the machine, read over `symbols`,
+    paired with a second key such as a DFA's final state: `dfa_axes` is
+    that key's (tail, period) along i and along j, and the default
+    (0, 1) on both pairs none."""
+    # a class key has no tail: it is a function of the counts mod its period
+    i_steps, j_steps = _witness_steps(spec)
+    dfa_i, dfa_j = dfa_axes
+    return (
+        _cut(i_max, (0, machine._class_period(symbols, i_steps)), dfa_i),
+        _cut(j_max, (0, machine._class_period(symbols, j_steps)), dfa_j),
+    )
 
 
 def verify_exactness(
@@ -84,17 +127,24 @@ def verify_exactness(
     tolerance: float = DEFAULT_TOLERANCE,
     seed: int | None = None,
 ) -> ExactnessReport:
-    """Run the machine on every enumerated promise instance and record the
-    worst acceptance-probability deviation on each side."""
+    """Check the machine on every enumerated promise instance and record
+    the worst acceptance-probability deviation on each side.
+
+    The witnesses are read as class keys (`Moqfa.class_of`), which repeat
+    in each generator index with a period that the machine's angle gives,
+    so only the witnesses up to one period are evaluated; a machine
+    without an angle is evaluated on every witness. Every witness up to
+    the bounds counts as checked: the others have the class of one that
+    was evaluated."""
     _check_alphabets(spec, i_max, j_max, (machine.alphabet,))
+    yes_checked, no_checked = _witness_sizes(spec, i_max, j_max)
     symbols = _witness_symbols(spec, machine.alphabet)
-    sides = _witness_columns(spec, i_max, j_max)
-    yes_keys, no_keys = (machine._class_keys(symbols, columns) for columns in sides)
-    yes_checked, no_checked = len(yes_keys), len(no_keys)
+    sides = _witness_columns(spec, *_sweep_bounds(spec, i_max, j_max, machine, symbols))
+    yes_keys, no_keys = (set(machine._class_keys(symbols, columns)) for columns in sides)
     # the worst deviation on each side is the worst over its classes
     final = machine._final
-    max_yes_deficit = max([0.0] + [abs(1.0 - final(key)[1]) for key in set(yes_keys)])
-    max_no_leak = max([0.0] + [final(key)[1] for key in set(no_keys)])
+    max_yes_deficit = max([0.0] + [abs(1.0 - final(key)[1]) for key in yes_keys])
+    max_no_leak = max([0.0] + [final(key)[1] for key in no_keys])
     passed = (
         yes_checked > 0
         and no_checked > 0
@@ -126,20 +176,30 @@ def cross_check(
 ) -> bool:
     """True iff quantum and classical decisions agree on every witness:
     probability within tolerance of 1 exactly when the DFA accepts, and
-    within tolerance of 0 exactly when it rejects."""
+    within tolerance of 0 exactly when it rejects.
+
+    Each pair of a class key and a DFA final state repeats in each
+    generator index from some tail on, with the lcm of the machine's and
+    the DFA's periods, so only the witnesses up to one period past the
+    tail are read; every witness up to the bounds is covered by one of
+    them."""
     _check_alphabets(spec, i_max, j_max, (machine.alphabet, dfa.alphabet))
+    _grid_family(spec, i_max, j_max)  # the spec and the bounds, checked before the DFA reads them
     symbols = _witness_symbols(spec, machine.alphabet)
     dfa_symbols = _witness_symbols(spec, dfa.alphabet)
-    # each (class, DFA state) pair once per side, up to the first disagreement
-    for columns in _witness_columns(spec, i_max, j_max):
-        keys = machine._class_keys(symbols, columns)
-        for key, state in set(zip(keys, dfa._final_states(dfa_symbols, columns))):
-            prob = machine._final(key)[1]
-            accepted = state in dfa.accepting
-            if (prob >= 1.0 - tolerance) != accepted:
-                return False
-            if (prob <= tolerance) != (not accepted):
-                return False
+    dfa_axes = dfa._witness_periods(spec, dfa_symbols, i_max, j_max)
+    bounds = _sweep_bounds(spec, i_max, j_max, machine, symbols, dfa_axes)
+    # a verdict does not depend on the side, so both sides go in one pass
+    # and each (class, DFA state) pair is judged once
+    columns = [[*yes, *no] for yes, no in zip(*_witness_columns(spec, *bounds))]
+    keys = machine._class_keys(symbols, columns)
+    for key, state in set(zip(keys, dfa._final_states(dfa_symbols, columns))):
+        prob = machine._final(key)[1]
+        accepted = state in dfa.accepting
+        if (prob >= 1.0 - tolerance) != accepted:
+            return False
+        if (prob <= tolerance) != (not accepted):
+            return False
     return True
 
 

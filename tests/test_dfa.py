@@ -140,6 +140,10 @@ def test_spliced_orbits_match_a_step_by_step_walk(seed):
                 for _ in range(n):
                     stepped = delta[stepped][k]
                 assert dfa._advance(state, k, n) == stepped, (delta, state, k, n)
+        # each path holds its tail and then its cycle once, each state once
+        for (state, k), (path, cycle_start) in dfa._orbits.items():
+            assert path[0] == state and len(set(path)) == len(path), (delta, state, k, path)
+            assert delta[path[-1]][k] == path[cycle_start], (delta, state, k, path, cycle_start)
         assert len(dfa._orbits) <= m * len(alphabet)
 
 

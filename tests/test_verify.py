@@ -1,6 +1,7 @@
 import io
 import random
 import re
+import time
 from dataclasses import fields, replace
 
 import pytest
@@ -27,7 +28,10 @@ from qfa_exact import (
     write_separation_csv,
 )
 from qfa_exact.dfa import build_min_dfa
+from qfa_exact.promise import _witness_columns, _witness_symbols
 from qfa_exact.synth import build_for
+from qfa_exact.verify import _check_alphabets, _sweep_bounds
+from qfa_exact.words import as_runs
 
 
 def test_verify_exactness_passes_for_matching_machine():
@@ -414,3 +418,173 @@ def test_unary_sweeps_read_each_automaton_over_its_own_symbol():
             machine, automaton, spec, 32, 4
         )
     assert cross_check(machine, over_y, spec)
+
+
+def first_alphabet_error(spec, i_max, j_max, alphabets):
+    """Per-word oracle: the message of the first ValueError that reading
+    each witness over each alphabet in turn raises, or None."""
+    for word, _ in enumerate_instances(spec, i_max, j_max):
+        for alphabet in alphabets:
+            try:
+                as_runs(word, alphabet)
+            except ValueError as error:
+                return str(error)
+    return None
+
+
+def test_alphabet_check_at_huge_bounds_raises_the_first_per_word_error():
+    # b^l comes before ab for l = 1, after it for l >= 2 (a tie at l = 2)
+    specs = [UnaryPromiseSpec(7, 0, 3), UnaryPromiseSpec(9, 5, 2), UnaryPromiseSpec(2, 1, 0)]
+    specs += [BinaryPromiseSpec(l) for l in (1, 2, 5)]
+    specs += [BinaryPromiseSpec(l, N) for N, l in ((2, 1), (5, 2), (9, 7))]
+    alphabets = [
+        ("a",), ("b",), ("x",), ("c",), ("a", "b"),
+        ("b", "a"), ("a", "x"), ("x", "b"), ("x", "y"), ("a", "b", "c"),
+    ]
+    raised = 0
+    for spec in specs:
+        for first in alphabets:
+            for second in alphabets:
+                pair = (first, second)
+                expected = first_alphabet_error(spec, 3, 2, pair)
+                assert expected == first_alphabet_error(spec, 1, 0, pair), (spec, pair)
+                for i_max, j_max in ((10**12, 10**6), (3, 2)):
+                    if expected is None:
+                        _check_alphabets(spec, i_max, j_max, pair)
+                        continue
+                    with pytest.raises(ValueError) as error:
+                        _check_alphabets(spec, i_max, j_max, pair)
+                    assert str(error.value) == expected, (spec, pair, i_max)
+                    raised += 1
+    assert raised > len(specs) * len(alphabets) ** 2
+
+
+def _same_turns(machine):
+    """A binary closed-form machine whose `a` and `b` turn the same way,
+    so that its class key moves with i."""
+    data = machine.to_dict()
+    data["matrices"]["a"] = data["matrices"]["b"]
+    same = Moqfa.from_dict(data)
+    assert same._turns == {"a": same._turns["b"], "b": same._turns["b"]}
+    return same
+
+
+def _machines_with_periods(spec, M):
+    """Machines whose class keys repeat along the witness grid of `spec`
+    with a period of 1 or more, and one without an angle. None need solve
+    `spec`: the keys are all that a period concerns."""
+    built = build_for(spec)[0]
+    if isinstance(spec, UnaryPromiseSpec):
+        other = build_unary_general(M, 0, M - 1)
+        return [built, other, _relabelled(built), _relabelled(other), _without_angle(built)]
+    other = build_binary_Nl(M, M - 1)
+    same_turns = [_same_turns(other), _same_turns(build_binary_l(M))]
+    return [built, other, *same_turns, _relabelled(other), _without_angle(other)]
+
+
+def _key_sets(machine, spec, i_max, j_max, dfa=None):
+    """Per side, the set of class keys, or of (class key, DFA final state)
+    pairs, over the witnesses up to the bounds."""
+    symbols = _witness_symbols(spec, machine.alphabet)
+    sets = []
+    for columns in _witness_columns(spec, i_max, j_max):
+        keys = machine._class_keys(symbols, columns)
+        if dfa is not None:
+            keys = zip(keys, dfa._final_states(_witness_symbols(spec, dfa.alphabet), columns))
+        sets.append(set(keys))
+    return sets
+
+
+@pytest.mark.parametrize("seed", range(32))
+def test_cut_witness_grid_meets_every_pair_of_the_full_grid(seed):
+    # random tables with tails and several cycles, their orbits cached in
+    # shuffled orders so that walks splice onto tails and cycles; the cut
+    # grid must meet every class key and every (class key, DFA state)
+    # pair that the full grid meets, where the cut bites and where not; a
+    # small surplus l and modulus N leave b-tails past l + N, so that the
+    # j-tail counts
+    rng = random.Random(seed)
+    N, M = rng.randint(2, 12), rng.randint(2, 12)
+    r_yes, r_no = rng.sample(range(N), 2)
+    l = rng.choice([1, rng.randint(1, N - 1)])
+    bites = 0
+    specs = (
+        UnaryPromiseSpec(N, r_yes, r_no),
+        BinaryPromiseSpec(l),
+        BinaryPromiseSpec(l, N),
+        BinaryPromiseSpec(1, rng.randint(2, 3)),
+    )
+    for spec in specs:
+        alphabet = ("a",) if isinstance(spec, UnaryPromiseSpec) else ("a", "b")
+        for machine in _machines_with_periods(spec, M):
+            symbols = _witness_symbols(spec, machine.alphabet)
+            m = rng.randint(1, 9)
+            delta = tuple(tuple(rng.randrange(m) for _ in alphabet) for _ in range(m))
+            start = rng.randrange(m)
+            bounds = [(0, 0), (1, 0), (3, 1), (9, 2), (24, 5), (48, 10)]
+            bounds.append((rng.randint(0, 48), rng.randint(0, 10)))
+            for i_max, j_max in bounds:
+                cuts = _sweep_bounds(spec, i_max, j_max, machine, symbols)
+                assert _key_sets(machine, spec, *cuts) == _key_sets(machine, spec, i_max, j_max)
+                dfa = Dfa(m, alphabet, delta, start, frozenset())
+                warm = [(state, k) for state in range(m) for k in range(len(alphabet))]
+                rng.shuffle(warm)
+                for state, k in warm[: rng.randint(0, len(warm))]:
+                    dfa._advance(state, k, 0)
+                dfa_axes = dfa._witness_periods(spec, alphabet, i_max, j_max)
+                cuts = _sweep_bounds(spec, i_max, j_max, machine, symbols, dfa_axes)
+                assert _key_sets(machine, spec, *cuts, dfa) == _key_sets(machine, spec, i_max, j_max, dfa), (
+                    spec, delta, start, i_max, j_max, cuts,
+                )
+                bites += cuts != (i_max, j_max)
+    assert bites > 0
+
+
+def test_sweeps_at_huge_bounds_take_constant_space():
+    i_max, j_max = 10**12, 10**6
+    one_per_i = (i_max + 1, i_max + 1)
+    sizes = {"A": one_per_i, "B": one_per_i, "BN": (i_max + 1, (i_max + 1) * (j_max + 1))}
+    specs = {
+        "A": [UnaryPromiseSpec(7, 0, 3), UnaryPromiseSpec(60, 17, 2), UnaryPromiseSpec(59, 5, 41)],
+        "B": [BinaryPromiseSpec(4), BinaryPromiseSpec(12), BinaryPromiseSpec(60)],
+        "BN": [BinaryPromiseSpec(5, 37), BinaryPromiseSpec(2, 5), BinaryPromiseSpec(7, 12)],
+    }
+    for family, family_specs in specs.items():
+        for spec in family_specs:
+            machine, dfa = build_for(spec)[0], build_min_dfa(spec)
+            began = time.perf_counter()
+            report = verify_exactness(machine, spec, i_max, j_max)
+            assert time.perf_counter() - began < 0.05, spec
+            assert report.passed and (report.yes_checked, report.no_checked) == sizes[family], spec
+            began = time.perf_counter()
+            assert cross_check(machine, dfa, spec, i_max, j_max), spec
+            assert time.perf_counter() - began < 0.05, spec
+
+
+def test_cross_check_reads_no_more_orbits_than_the_full_sweep():
+    # a 3000-cycle has no period within (32, 4): the sweep walks `a` from
+    # the start and `b` from each of the 33 states that a^i reaches
+    spec = BinaryPromiseSpec(5, 37)
+    dfa = build_binary_min_dfa(3000)
+    cross_check(build_binary_Nl(37, 5), dfa, spec, 32, 4)
+    assert len(dfa._orbits) <= 1 + 33
+
+
+def test_cut_reaches_a_b_tail_off_the_a_cycle():
+    # a^i b^(1 + 2j) from state 0: `a` leaves 0 at once for the loop at 1,
+    # so only i = 0 reads the b-orbit of 0, a tail [0, 2, 3] into the
+    # cycle [4, 5, 6]; b^(1 + 2j) ends in 2, 4, 6, 5 for j = 0..3, so the
+    # cut must reach j = 3: tail ceil((3 - 1) / 2) = 1, period 3 / gcd(2, 3)
+    spec = BinaryPromiseSpec(1, 2)
+    delta = ((1, 2), (1, 1), (1, 3), (1, 4), (1, 5), (1, 6), (1, 4))
+    machine = build_binary_Nl(2, 1)
+    symbols = _witness_symbols(spec, machine.alphabet)
+    for i_max, j_max in ((0, 3), (5, 6), (40, 12)):
+        dfa = Dfa(7, ("a", "b"), delta, 0, frozenset())
+        periods = dfa._witness_periods(spec, ("a", "b"), i_max, j_max)
+        assert periods[1] == (1, 3)
+        cuts = _sweep_bounds(spec, i_max, j_max, machine, symbols, periods)
+        assert cuts[1] == 3
+        no_states = {state for _, state in _key_sets(machine, spec, *cuts, dfa)[1]}
+        assert no_states == ({1, 2, 4, 5, 6} if i_max else {2, 4, 5, 6})
+        assert _key_sets(machine, spec, *cuts, dfa) == _key_sets(machine, spec, i_max, j_max, dfa)
