@@ -5,8 +5,9 @@ word), dfa (emit the minimal classical solver), certify (exhaustive
 minimality search), table (quantum-vs-classical state counts as CSV).
 
 Exit codes: 0 success, 2 bad usage or parameters, 3 internal synthesis
-failure, 4 a minimality counterexample was found (this would refute the
-size formulas - investigate loudly), 5 enumeration budget exceeded.
+failure, 4 a DFA below the claimed size classifies every witness up to
+the witness bounds (stderr names them; it refutes the size formula on
+those witnesses, not on the whole promise), 5 enumeration budget exceeded.
 """
 
 import argparse
@@ -142,8 +143,10 @@ def cmd_certify(args):
         )
     _emit(text, args.output)
     if not certificate.certified:
+        i_max, j_max = certificate.witness_bounds
+        bounds = f"i_max={i_max}" if j_max is None else f"i_max={i_max}, j_max={j_max}"
         print(
-            "counterexample DFA contradicts the minimality formula:\n"
+            f"counterexample DFA classifies every witness up to {bounds}:\n"
             + certificate.counterexample.to_json(),
             file=sys.stderr,
         )

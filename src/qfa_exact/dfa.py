@@ -7,9 +7,10 @@ re-prove minimality by enumerating every smaller machine and watching
 each one misclassify some promise instance.
 """
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import chain, product
+from itertools import chain, islice, product
 from math import gcd, lcm
 from operator import getitem
 
@@ -39,10 +40,10 @@ def _orbit_index(count: int, length: int, cycle_start: int) -> int:
     return cycle_start + (count - cycle_start) % (length - cycle_start)
 
 
-def _counted_period(cycle_start: int, length: int, lowest: int, step: int) -> tuple[int, int]:
+def _counted_period(tail: int, cycle_length: int, lowest: int, step: int) -> tuple[int, int]:
     """(tail, period) in k of the state after lowest + k * step or more
-    steps along an orbit with this cycle start and cycle length."""
-    return max(0, -((lowest - cycle_start) // step)), length // gcd(step, length)
+    steps along an orbit with this tail length and cycle length."""
+    return max(0, -((lowest - tail) // step)), cycle_length // gcd(step, cycle_length)
 
 
 def _within(bound: int, tail: int, period: int) -> tuple:
@@ -63,9 +64,11 @@ class _Table(tuple):
 class Dfa:
     """Table-driven deterministic automaton; delta[state][symbol_index].
 
-    Runs of one symbol follow a cached orbit per (state, symbol), so the
-    cache holds at most num_states * len(alphabet) entries. It is not an
-    init field, so `dataclasses.replace` starts the copy with an empty one.
+    Runs of one symbol read its lazily filled table `_orbits[sym_index]`:
+    state -> (tail, cycle, offset), the states before the orbit's cycle,
+    the cycle as one list shared by all its states, and the index reached
+    after the tail. `_orbits` is not an init field, so
+    `dataclasses.replace` starts the copy with empty tables.
     """
 
     num_states: int
@@ -73,7 +76,7 @@ class Dfa:
     delta: tuple[tuple[int, ...], ...]
     start: int
     accepting: frozenset[int]
-    _orbits: dict = field(init=False, default_factory=dict, repr=False)
+    _orbits: dict = field(init=False, default_factory=lambda: defaultdict(dict), repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "alphabet", tuple(self.alphabet))
@@ -96,44 +99,41 @@ class Dfa:
         if not all(map(range(self.num_states).__contains__, self.accepting)):
             raise ValueError("accepting states out of range")
 
-    def _orbit(self, start: int, sym_index: int) -> tuple[list[int], int]:
-        """Walk one symbol from `start` up to the first repeated state, or
-        up to a state whose orbit is cached, which is then spliced on,
-        and cache the path with the index where its cycle starts. Either
-        way the path holds the tail and then the cycle once, each state
-        once: a splice onto a cycle state drops the cycle's last states
-        when the walk came along them (from 1 onto 0's orbit [0, 2, 1],
-        [1, 0, 2] with the cycle from 0, not [1, 0, 2, 1] from 1)."""
-        orbits = self._orbits
+    def _orbit(self, start: int, sym_index: int) -> tuple:
+        """The table entry of `start`. A missing one is walked up to the
+        first repeated state, whose cycle gives each state on it an entry,
+        or up to the first state with an entry, whose cycle and offset it
+        takes, with the walk and that state's tail as its tail. The states
+        passed on the way get no entry: each would copy a tail."""
+        table = self._orbits[sym_index]
+        entry = table.get(start)
+        if entry is not None:
+            return entry
         seen = {}
         path = []
         state = start
         while state not in seen:
-            cached = orbits.get((state, sym_index))
-            if cached is not None:
-                cached_path, cached_start = cached
-                on_cycle = 0
-                if cached_start == 0:
-                    # the walk's last states on the cycle are its last ones
-                    while on_cycle < len(path) and path[-1 - on_cycle] == cached_path[-1 - on_cycle]:
-                        on_cycle += 1
-                kept = len(cached_path) - on_cycle
-                orbit = (path + cached_path[:kept], len(path) - on_cycle + cached_start)
+            entry = table.get(state)
+            if entry is not None:
+                tail, cycle, offset = entry
+                path += tail
                 break
             seen[state] = len(path)
             path.append(state)
             state = self.delta[state][sym_index]
         else:
-            orbit = (path, seen[state])
-        orbits[start, sym_index] = orbit
-        return orbit
+            cycle = path[seen[state] :]
+            del path[seen[state] :]
+            for offset, on_cycle in enumerate(cycle):
+                table[on_cycle] = ((), cycle, offset)
+            offset = 0
+        return table.setdefault(start, (path, cycle, offset))
 
     def _advance(self, state: int, sym_index: int, count: int) -> int:
         """Apply one symbol `count` times: index into the tail of the
-        orbit, or reduce around its cycle; O(1) once the orbit is cached."""
-        orbit = self._orbits.get((state, sym_index))
-        path, cycle_start = orbit if orbit is not None else self._orbit(state, sym_index)
-        return path[_orbit_index(count, len(path), cycle_start)]
+        orbit, or reduce around its cycle; O(1) once the orbit is held."""
+        tail, cycle, offset = self._orbit(state, sym_index)
+        return tail[count] if count < len(tail) else cycle[(offset + count - len(tail)) % len(cycle)]
 
     def _final_states(self, symbols, columns) -> list:
         """The final state of each word in `columns`, count columns
@@ -141,7 +141,6 @@ class Dfa:
         the k-th word counts column[k] of each symbol. Unchecked: the
         counts must be nonnegative ints, and a symbol outside the alphabet
         must count 0 in every word."""
-        orbits = self._orbits
         states = [self.start] * len(columns[0])
         # one pass per symbol, over all words at once, reading the orbit
         # of each distinct state once
@@ -150,12 +149,12 @@ class Dfa:
                 sym_index = self.alphabet.index(sym)
                 walks = {}
                 for state in set(states):
-                    path, cycle_start = orbits.get((state, sym_index)) or self._orbit(state, sym_index)
-                    walks[state] = path, len(path), cycle_start
-                # `_orbit_index`, inlined: a call per word slows the pass by a fifth
+                    tail, cycle, offset = self._orbit(state, sym_index)
+                    walks[state] = tail, len(tail), cycle, offset - len(tail), len(cycle)
+                # `_advance`, inlined: a call per word slows the pass by a fifth
                 states = [
-                    path[n if n < length else cycle_start + (n - cycle_start) % (length - cycle_start)]
-                    for (path, length, cycle_start), n in zip(map(walks.__getitem__, states), column)
+                    tail[n] if n < length else cycle[(shift + n) % period]
+                    for (tail, length, cycle, shift, period), n in zip(map(walks.__getitem__, states), column)
                 ]
         return states
 
@@ -169,40 +168,39 @@ class Dfa:
         read are among those that the sweep up to the bounds reads.
 
         A count n of one symbol from state x ends where n + L does once
-        n >= c, for the cycle start c and cycle length L of x's orbit.
+        n >= c, for the tail length c and cycle length L of x's orbit.
         Unary witnesses count r + iN. A binary witness a^i b^(i+s), with
         s >= 0 and s = l + jN on the BN no-side, repeats in i once a^i
         has reached the a-cycle and i has passed the b-tails of its
         states, and in j once l + jN has passed the b-tail of the state
         that a^i reaches."""
-        orbits = self._orbits
         if isinstance(spec, UnaryPromiseSpec):
-            sym_index = self.alphabet.index(symbols[0])
-            path, c = orbits.get((self.start, sym_index)) or self._orbit(self.start, sym_index)
+            tail, cycle, _ = self._orbit(self.start, self.alphabet.index(symbols[0]))
             lowest = min(spec.r_yes, spec.r_no)
-            return _within(i_max, *_counted_period(c, len(path) - c, lowest, spec.N)), (0, 1)
+            return _within(i_max, *_counted_period(len(tail), len(cycle), lowest, spec.N)), (0, 1)
         a, b = symbols
         b_index = self.alphabet.index(b)
         if a in self.alphabet:
-            a_index = self.alphabet.index(a)
-            a_path, c_a = orbits.get((self.start, a_index)) or self._orbit(self.start, a_index)
+            a_tail, a_cycle, a_offset = self._orbit(self.start, self.alphabet.index(a))
+            # the a-cycle in the order that a^i meets it after the tail
+            a_cycle = a_cycle[a_offset:] + a_cycle[:a_offset]
         else:  # the check of the alphabets has left only i = 0
-            a_path, c_a = [self.start], 0
+            a_tail, a_cycle = (), [self.start]
         # along i: the a-cycle, and the b-orbit of each of its states
-        tail, period = c_a, len(a_path) - c_a
-        for x in a_path[c_a:]:
+        tail, period = len(a_tail), len(a_cycle)
+        for x in a_cycle:
             if tail + period - 1 > i_max:
                 break
-            path, c = orbits.get((x, b_index)) or self._orbit(x, b_index)
-            tail, period = max(tail, c), lcm(period, len(path) - c)
+            b_tail, b_cycle, _ = self._orbit(x, b_index)
+            tail, period = max(tail, len(b_tail)), lcm(period, len(b_cycle))
         i_axis = _within(i_max, tail, period)
         if spec.N is None:  # `B` witnesses have no j
             return i_axis, (0, 1)
         # along j: the b-orbit of each state that some a^i reaches
         tail, period = 0, 1
-        for x in a_path[: i_max + 1]:
-            path, c = orbits.get((x, b_index)) or self._orbit(x, b_index)
-            x_tail, x_period = _counted_period(c, len(path) - c, spec.l, spec.N)
+        for x in islice(chain(a_tail, a_cycle), i_max + 1):
+            b_tail, b_cycle, _ = self._orbit(x, b_index)
+            x_tail, x_period = _counted_period(len(b_tail), len(b_cycle), spec.l, spec.N)
             tail, period = max(tail, x_tail), lcm(period, x_period)
             if tail + period - 1 > j_max:
                 break

@@ -205,6 +205,19 @@ def test_certify_counterexample_exit_code(capsys):
     assert "counterexample DFA" in err
 
 
+def test_counterexample_stderr_names_the_witness_bounds(capsys):
+    # `BN` N=4, l=2 certifies at --j-max 1; at --j-max 0 the 3-state
+    # counter refutes only the truncated witness set, and stderr says so
+    args = ("certify", "--family", "BN", "--N", "4", "--l", "2")
+    code, out, err = run_cli(capsys, *args, "--j-max", "0")
+    assert (code, out.split(":")[0]) == (4, "COUNTEREXAMPLE FOUND")
+    assert err.startswith("counterexample DFA classifies every witness up to i_max=64, j_max=0:\n")
+    assert json.loads(err.split("\n", 1)[1])["states"] == 3
+    assert run_cli(capsys, *args, "--j-max", "1")[:2] == (0, "Certified: claimed_d=4, machines_checked=17626\n")
+    code, _, err = run_cli(capsys, "certify", "--family", "A", "--N", "16", "--l", "8", "--i-max", "0")
+    assert code == 4 and err.startswith("counterexample DFA classifies every witness up to i_max=0:\n")
+
+
 def test_certify_text_verdict_goes_to_the_output_file(tmp_path, capsys):
     code, stdout_verdict, _ = run_cli(capsys, "certify", "--family", "B", "--l", "4")
     assert (code, stdout_verdict) == (0, "Certified: claimed_d=3, machines_checked=130\n")

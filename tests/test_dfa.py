@@ -39,6 +39,24 @@ def naive_final_state(dfa, word):
     return state
 
 
+def assert_orbit_tables(dfa, counts):
+    """Every entry of every orbit table agrees with stepping for each of
+    `counts`; each cycle is a list of distinct states that its symbol
+    closes, one list object shared by all its states; and a table holds
+    at most one entry per state."""
+    for k, table in dfa._orbits.items():
+        assert len(table) <= dfa.num_states, (dfa.delta, k)
+        for state, (tail, cycle, offset) in table.items():
+            assert len(set(cycle)) == len(cycle) and dfa.delta[cycle[-1]][k] == cycle[0], (dfa.delta, k, cycle)
+            assert all(table[x][1] is cycle for x in cycle), (dfa.delta, k, cycle)
+            assert len(set(tail) | set(cycle)) == len(tail) + len(cycle), (dfa.delta, k, tail, cycle)
+            for n in counts:
+                stepped = state
+                for _ in range(n):
+                    stepped = dfa.delta[stepped][k]
+                assert dfa._advance(state, k, n) == stepped, (dfa.delta, state, k, n)
+
+
 def naive_accepts(dfa, word):
     return naive_final_state(dfa, word) in dfa.accepting
 
@@ -108,15 +126,16 @@ def test_cached_orbits_match_naive_oracle_on_random_tails(seed):
         for _ in range(40):
             word = tuple((rng.choice(alphabet), rng.choice(counts)) for _ in range(3))
             assert dfa.final_state_of(word) == naive_final_state(dfa, word), (dfa, word)
-    assert len(dfa._orbits) <= m * len(alphabet)
+    assert_orbit_tables(dfa, counts)
 
 
 @pytest.mark.parametrize("seed", range(24))
 def test_spliced_orbits_match_a_step_by_step_walk(seed):
-    # the built minimal DFAs are pure cycles, which splice only onto
-    # cycles; random tables have tails and several cycles, and warming
-    # the cache from a shuffled set of states, one symbol at a time, lands
-    # later walks on cached tails and cycles alike
+    # the built minimal DFAs are pure cycles, whose walks close their
+    # cycle at once; random tables have tails and several cycles, and
+    # warming the tables from a shuffled set of states, one symbol at a
+    # time, stops later walks on held tails and cycles alike, which they
+    # then take on
     rng = random.Random(seed)
     m = rng.randint(1, 8)
     alphabet = ("a", "b")[: rng.randint(1, 2)]
@@ -133,18 +152,34 @@ def test_spliced_orbits_match_a_step_by_step_walk(seed):
         expected = [naive_final_state(dfa, tuple(zip(alphabet, word))) for word in words]
         assert dfa._final_states(alphabet, columns) == expected, (delta, dfa.start)
         assert [dfa.final_state_of(tuple(zip(alphabet, word))) for word in words] == expected
-        # every cached orbit, spliced or walked, agrees with stepping
-        for (state, k), _ in list(dfa._orbits.items()):
-            for n in counts:
-                stepped = state
-                for _ in range(n):
-                    stepped = delta[stepped][k]
-                assert dfa._advance(state, k, n) == stepped, (delta, state, k, n)
-        # each path holds its tail and then its cycle once, each state once
-        for (state, k), (path, cycle_start) in dfa._orbits.items():
-            assert path[0] == state and len(set(path)) == len(path), (delta, state, k, path)
-            assert delta[path[-1]][k] == path[cycle_start], (delta, state, k, path, cycle_start)
-        assert len(dfa._orbits) <= m * len(alphabet)
+        assert_orbit_tables(dfa, counts)
+
+
+def test_a_long_tail_is_held_once_per_queried_state():
+    # states 0..499 lead into the 7-cycle 500..506; a walk from 0 stops on
+    # the entry of 250, held first, and takes on its tail
+    tail, cycle = 500, 7
+    delta = tuple((i + 1,) for i in range(tail + cycle - 1)) + ((tail,),)
+    dfa = Dfa(tail + cycle, ("a",), delta, 0, frozenset({tail}))
+
+    def closed_form(state, n):
+        return state + n if state + n < tail else tail + (state + n - tail) % cycle
+
+    starts = [250, 0, 499, 503, 500, 506]
+    near_tail = [0, 1, 248, 249, 250, 251, 256, 257, 499, 500, 501, 506, 507, 1000]
+    huge = [10**12 + r for r in range(-8, 8)]
+    for state in starts:
+        for n in near_tail:
+            assert dfa._advance(state, 0, n) == naive_final_state(replace(dfa, start=state), n), (state, n)
+        for n in huge:
+            assert dfa._advance(state, 0, n) == closed_form(state, n), (state, n)
+    states = replace(dfa, start=250)._final_states(("a",), ((*near_tail, *huge),))
+    assert states == [closed_form(250, n) for n in (*near_tail, *huge)]
+    assert_orbit_tables(dfa, range(0, 520, 13))
+    table = dfa._orbits[0]
+    assert set(table) == {0, 250, 499, *range(tail, tail + cycle)}
+    assert [len(table[state][0]) for state in (0, 250, 499)] == [500, 250, 1]
+    assert dfa.final_state_of(10**12) == closed_form(0, 10**12)
 
 
 def test_replace_starts_with_an_empty_orbit_cache():

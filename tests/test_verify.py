@@ -497,8 +497,9 @@ def _key_sets(machine, spec, i_max, j_max, dfa=None):
 
 @pytest.mark.parametrize("seed", range(32))
 def test_cut_witness_grid_meets_every_pair_of_the_full_grid(seed):
-    # random tables with tails and several cycles, their orbits cached in
-    # shuffled orders so that walks splice onto tails and cycles; the cut
+    # random tables with tails and several cycles, their orbit tables
+    # warmed in shuffled orders so that walks stop on held tails and
+    # cycles; the cut
     # grid must meet every class key and every (class key, DFA state)
     # pair that the full grid meets, where the cut bites and where not; a
     # small surplus l and modulus N leave b-tails past l + N, so that the
@@ -561,13 +562,16 @@ def test_sweeps_at_huge_bounds_take_constant_space():
             assert time.perf_counter() - began < 0.05, spec
 
 
-def test_cross_check_reads_no_more_orbits_than_the_full_sweep():
-    # a 3000-cycle has no period within (32, 4): the sweep walks `a` from
-    # the start and `b` from each of the 33 states that a^i reaches
-    spec = BinaryPromiseSpec(5, 37)
-    dfa = build_binary_min_dfa(3000)
-    cross_check(build_binary_Nl(37, 5), dfa, spec, 32, 4)
-    assert len(dfa._orbits) <= 1 + 33
+def test_cross_check_holds_each_cycle_of_a_large_counter_once():
+    # the sweep up to i = 2999 reads the b-orbit of every state of the
+    # 3000-state counter: each symbol's cycle is held once, and no state
+    # copies it, so the tables, tails and cycles hold O(d) states
+    d = 3000
+    dfa = build_binary_min_dfa(d)
+    assert cross_check(build_binary_Nl(d, 1), dfa, BinaryPromiseSpec(1, d), 5000, 4)
+    tables = [entry for table in dfa._orbits.values() for entry in table.values()]
+    cycles = {id(cycle): len(cycle) for _, cycle, _ in tables}
+    assert sum(cycles.values()) + sum(len(tail) for tail, _, _ in tables) <= 2 * d + 2
 
 
 def test_cut_reaches_a_b_tail_off_the_a_cycle():
