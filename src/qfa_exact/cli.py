@@ -21,7 +21,7 @@ from .dfa import (
     certify_minimality_unary,
     claimed_size,
 )
-from .promise import DEFAULT_I_MAX, DEFAULT_J_MAX, FAMILIES, family_of, spec_from_dict
+from .promise import DEFAULT_I_MAX, DEFAULT_J_MAX, FAMILIES, _check_bounds, family_of, spec_from_dict
 from .verify import separation_table, write_separation_csv
 from .words import dump_json, load_json
 
@@ -30,16 +30,6 @@ EXIT_USAGE = 2
 EXIT_SYNTH_FAILURE = 3
 EXIT_COUNTEREXAMPLE = 4
 EXIT_BUDGET = 5
-
-
-def __getattr__(name):
-    # `synth` loads only for the commands that build or run a machine;
-    # `cli.synth` still resolves for callers and tests
-    if name == "synth":
-        from . import synth
-
-        return synth
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 _FLAGS = {"N": "N", "l": "l", "r_yes": "r1", "r_no": "r2"}  # spec field -> its --flag
@@ -124,6 +114,7 @@ def cmd_dfa(args):
 
 
 def cmd_certify(args):
+    _check_bounds(args.i_max, args.j_max)  # every family's, before any budget
     spec = _spec_from_args(args)
     if family_of(spec) == "A":
         certificate = certify_minimality_unary(
@@ -161,6 +152,7 @@ def _specs_from_data(data):
 
 
 def cmd_table(args):
+    _check_bounds(args.i_max, args.j_max)  # `A` rows certify on their own bound
     with open(args.specs, encoding="utf-8") as handle:
         specs = load_json(handle.read(), "spec list", _specs_from_data)
     rows = separation_table(

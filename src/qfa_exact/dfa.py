@@ -18,6 +18,7 @@ from .promise import (
     BinaryPromiseSpec,
     Classification,
     UnaryPromiseSpec,
+    _check_bounds,
     _witness_counts,
     family_of,
     spec_to_dict,
@@ -44,12 +45,6 @@ def _counted_period(tail: int, cycle_length: int, lowest: int, step: int) -> tup
     """(tail, period) in k of the state after lowest + k * step or more
     steps along an orbit with this tail length and cycle length."""
     return max(0, -((lowest - tail) // step)), cycle_length // gcd(step, cycle_length)
-
-
-def _within(bound: int, tail: int, period: int) -> tuple:
-    """(tail, period), the period None when tail + period - 1 passes
-    `bound`, so that a sweep up to the bound meets no repeat."""
-    return tail, (period if tail + period - 1 <= bound else None)
 
 
 class _Table(tuple):
@@ -163,9 +158,10 @@ class Dfa:
         witness grid of `promise._witness_columns`, read over `symbols`:
         two witnesses of one side whose index along the axis is at least
         the tail and differs by a multiple of the period, the other index
-        equal, end in one state. Along i this holds for every j. The period
-        is None where tail + period - 1 passes the axis's bound; the orbits
-        read are among those that the sweep up to the bounds reads.
+        equal, end in one state. Along i this holds for every j. The walk
+        along an axis stops once tail + period - 1 passes its bound, where
+        a sweep up to the bound meets no repeat, so the orbits read are
+        among those that the sweep up to the bounds reads.
 
         A count n of one symbol from state x ends where n + L does once
         n >= c, for the tail length c and cycle length L of x's orbit.
@@ -177,7 +173,7 @@ class Dfa:
         if isinstance(spec, UnaryPromiseSpec):
             tail, cycle, _ = self._orbit(self.start, self.alphabet.index(symbols[0]))
             lowest = min(spec.r_yes, spec.r_no)
-            return _within(i_max, *_counted_period(len(tail), len(cycle), lowest, spec.N)), (0, 1)
+            return _counted_period(len(tail), len(cycle), lowest, spec.N), (0, 1)
         a, b = symbols
         b_index = self.alphabet.index(b)
         if a in self.alphabet:
@@ -193,7 +189,7 @@ class Dfa:
                 break
             b_tail, b_cycle, _ = self._orbit(x, b_index)
             tail, period = max(tail, len(b_tail)), lcm(period, len(b_cycle))
-        i_axis = _within(i_max, tail, period)
+        i_axis = tail, period
         if spec.N is None:  # `B` witnesses have no j
             return i_axis, (0, 1)
         # along j: the b-orbit of each state that some a^i reaches
@@ -204,8 +200,7 @@ class Dfa:
             tail, period = max(tail, x_tail), lcm(period, x_period)
             if tail + period - 1 > j_max:
                 break
-        j_axis = _within(j_max, tail, period)
-        return i_axis, j_axis
+        return i_axis, (tail, period)
 
     def final_state_of(self, word) -> int:
         state = self.start
@@ -535,8 +530,10 @@ def certify_minimality_binary(
     that checking subsets one by one reaches.
 
     Candidate counts explode as m^(2m); the default budget admits d <= 4
-    and anything larger raises EnumerationBudgetError up front.
+    and anything larger raises EnumerationBudgetError up front, once the
+    bounds are checked.
     """
+    _check_bounds(i_max, j_max)
     d, _ = claimed_size(spec)
     _check_budget((m ** (2 * m) * m * 2**m for m in range(1, d)), budget, d)
     tail, cycle = d - 2, lcm(*range(1, d))

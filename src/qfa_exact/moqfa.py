@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from operator import mul
 
-from .words import as_alphabet, as_int, as_runs, dump_json, int_fields, load_json
+from .words import _worst, as_alphabet, as_int, as_runs, dump_json, int_fields, load_json
 
 ORTHOGONALITY_TOLERANCE = 1e-10
 # |u^D - I| of a built machine grows linearly in D (at worst 1.9e-16 * D
@@ -132,13 +132,6 @@ def _gram_off_identity(m):
     columns = transpose(m)
     n = len(columns)
     return [abs(sum(map(mul, columns[i], columns[j])) - (i == j)) for i in range(n) for j in range(i, n)]
-
-
-def _worst(deviations) -> float:
-    """The largest deviation, nan if any is nan (max() would drop it), 0.0 if none."""
-    if any(map(math.isnan, deviations)):
-        return math.nan
-    return max(deviations, default=0.0)
 
 
 def _is_number(x) -> bool:

@@ -123,9 +123,13 @@ def _witness_columns(spec, i_max: int = DEFAULT_I_MAX, j_max: int = DEFAULT_J_MA
 def _grid_family(spec, i_max: int, j_max: int) -> str:
     """The family of `spec`, once the witness bounds are checked."""
     family = family_of(spec)
+    _check_bounds(i_max, j_max)
+    return family
+
+
+def _check_bounds(i_max: int, j_max: int) -> None:
     if i_max < 0 or j_max < 0:
         raise ValueError("instance bounds must be nonnegative")
-    return family
 
 
 def _witness_sizes(spec, i_max: int, j_max: int) -> tuple[int, int]:

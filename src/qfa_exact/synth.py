@@ -91,7 +91,7 @@ def lift_parameters(p: float) -> LiftParameters:
     outside [-1, 0] (rounding of an exactly-boundary cosine) are clamped;
     genuinely positive p has no solution and is rejected.
     """
-    if p > LIFT_TOLERANCE or p < -1.0 - LIFT_TOLERANCE:
+    if not -1.0 - LIFT_TOLERANCE <= p <= LIFT_TOLERANCE:
         raise ValueError(f"lift requires -1 <= p <= 0, got {p}")
     p = min(max(p, -1.0), 0.0)
     return LiftParameters(
@@ -111,7 +111,7 @@ def _seed_matrix(lift: LiftParameters) -> _Rows:
 
 def _checked(machine: Moqfa) -> Moqfa:
     deviation = machine.check_orthogonality()
-    if deviation > ORTHOGONALITY_TOLERANCE:
+    if not deviation <= ORTHOGONALITY_TOLERANCE:
         raise RuntimeError(f"constructed matrices drift from orthogonal by {deviation}")
     return machine
 

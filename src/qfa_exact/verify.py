@@ -32,7 +32,7 @@ from .promise import (
     family_of,
     spec_to_dict,
 )
-from .words import as_runs, dump_json, record_dict
+from .words import _worst, as_runs, dump_json, record_dict
 
 if TYPE_CHECKING:  # the harness only calls a machine's methods; `moqfa` stays unloaded
     from .moqfa import Moqfa
@@ -102,21 +102,39 @@ def _cut(bound: int, *axes) -> int:
     return min(bound, tail + period - 1)
 
 
-def _sweep_bounds(
-    spec, i_max: int, j_max: int, machine: "Moqfa", symbols, dfa_axes=((0, 1), (0, 1))
-) -> tuple[int, int]:
-    """The bounds on i and j up to which a sweep must visit the witness
-    grid to meet every class key of the machine, read over `symbols`,
-    paired with a second key such as a DFA's final state: `dfa_axes` is
-    that key's (tail, period) along i and along j, and the default
-    (0, 1) on both pairs none."""
+def _sweep(machine: "Moqfa", spec, i_max: int, j_max: int, dfa: Dfa | None = None) -> list:
+    """Per side, the class keys (`Moqfa.class_of`) of the witnesses up to
+    one period of the grid, each paired with the DFA's final state when
+    `dfa` is given; the alphabets and the bounds are checked first.
+
+    Along each generator index a class key repeats with the period of
+    `Moqfa._class_period`, and a DFA's final state past the (tail, period)
+    of `Dfa._witness_periods`. `_cut` joins them, so every witness up to
+    the bounds has the key, or the (key, state) pair, of one up to the
+    cut. A machine without an angle has no period: all are read."""
+    alphabets = (machine.alphabet,) if dfa is None else (machine.alphabet, dfa.alphabet)
+    _check_alphabets(spec, i_max, j_max, alphabets)
+    _grid_family(spec, i_max, j_max)  # the spec and the bounds, checked before the DFA reads them
+    symbols = _witness_symbols(spec, machine.alphabet)
+    if dfa is None:
+        dfa_i, dfa_j = (0, 1), (0, 1)  # no second key
+    else:
+        dfa_symbols = _witness_symbols(spec, dfa.alphabet)
+        dfa_i, dfa_j = dfa._witness_periods(spec, dfa_symbols, i_max, j_max)
     # a class key has no tail: it is a function of the counts mod its period
     i_steps, j_steps = _witness_steps(spec)
-    dfa_i, dfa_j = dfa_axes
-    return (
+    sides = _witness_columns(
+        spec,
         _cut(i_max, (0, machine._class_period(symbols, i_steps)), dfa_i),
         _cut(j_max, (0, machine._class_period(symbols, j_steps)), dfa_j),
     )
+    if dfa is None:
+        return [machine._class_keys(symbols, columns) for columns in sides]
+    # both sides in one pass, so that the DFA reads each orbit once
+    columns = [[*yes, *no] for yes, no in zip(*sides)]
+    pairs = list(zip(machine._class_keys(symbols, columns), dfa._final_states(dfa_symbols, columns)))
+    split = len(sides[0][0])
+    return [pairs[:split], pairs[split:]]
 
 
 def verify_exactness(
@@ -128,29 +146,19 @@ def verify_exactness(
     seed: int | None = None,
 ) -> ExactnessReport:
     """Check the machine on every enumerated promise instance and record
-    the worst acceptance-probability deviation on each side.
+    the worst acceptance-probability deviation on each side; a nan
+    probability makes its side's deviation nan, and the check fails.
 
-    The witnesses are read as class keys (`Moqfa.class_of`), which repeat
-    in each generator index with a period that the machine's angle gives,
-    so only the witnesses up to one period are evaluated; a machine
-    without an angle is evaluated on every witness. Every witness up to
-    the bounds counts as checked: the others have the class of one that
-    was evaluated."""
-    _check_alphabets(spec, i_max, j_max, (machine.alphabet,))
+    The witnesses are read through `_sweep`, one period of the grid for
+    a machine with an angle and every witness for one without. Every
+    witness up to the bounds counts as checked: the others have the
+    class of one that was evaluated."""
+    yes_keys, no_keys = _sweep(machine, spec, i_max, j_max)
     yes_checked, no_checked = _witness_sizes(spec, i_max, j_max)
-    symbols = _witness_symbols(spec, machine.alphabet)
-    sides = _witness_columns(spec, *_sweep_bounds(spec, i_max, j_max, machine, symbols))
-    yes_keys, no_keys = (set(machine._class_keys(symbols, columns)) for columns in sides)
     # the worst deviation on each side is the worst over its classes
     final = machine._final
-    max_yes_deficit = max([0.0] + [abs(1.0 - final(key)[1]) for key in yes_keys])
-    max_no_leak = max([0.0] + [final(key)[1] for key in no_keys])
-    passed = (
-        yes_checked > 0
-        and no_checked > 0
-        and max_yes_deficit <= tolerance
-        and max_no_leak <= tolerance
-    )
+    max_yes_deficit = _worst([abs(1.0 - final(key)[1]) for key in set(yes_keys)])
+    max_no_leak = _worst([final(key)[1] for key in set(no_keys)])
     return ExactnessReport(
         spec=spec,
         machine_states=machine.dim,
@@ -158,7 +166,7 @@ def verify_exactness(
         no_checked=no_checked,
         max_yes_deficit=max_yes_deficit,
         max_no_leak=max_no_leak,
-        passed=passed,
+        passed=max_yes_deficit <= tolerance and max_no_leak <= tolerance,
         tolerance=tolerance,
         i_max=i_max,
         j_max=j_max,
@@ -178,22 +186,11 @@ def cross_check(
     probability within tolerance of 1 exactly when the DFA accepts, and
     within tolerance of 0 exactly when it rejects.
 
-    Each pair of a class key and a DFA final state repeats in each
-    generator index from some tail on, with the lcm of the machine's and
-    the DFA's periods, so only the witnesses up to one period past the
-    tail are read; every witness up to the bounds is covered by one of
-    them."""
-    _check_alphabets(spec, i_max, j_max, (machine.alphabet, dfa.alphabet))
-    _grid_family(spec, i_max, j_max)  # the spec and the bounds, checked before the DFA reads them
-    symbols = _witness_symbols(spec, machine.alphabet)
-    dfa_symbols = _witness_symbols(spec, dfa.alphabet)
-    dfa_axes = dfa._witness_periods(spec, dfa_symbols, i_max, j_max)
-    bounds = _sweep_bounds(spec, i_max, j_max, machine, symbols, dfa_axes)
-    # a verdict does not depend on the side, so both sides go in one pass
-    # and each (class, DFA state) pair is judged once
-    columns = [[*yes, *no] for yes, no in zip(*_witness_columns(spec, *bounds))]
-    keys = machine._class_keys(symbols, columns)
-    for key, state in set(zip(keys, dfa._final_states(dfa_symbols, columns))):
+    The witnesses are read through `_sweep`, up to one period past the
+    tail of the pairs of a class key and a DFA final state. A verdict
+    does not depend on the side, so each pair is judged once."""
+    yes_pairs, no_pairs = _sweep(machine, spec, i_max, j_max, dfa)
+    for key, state in {*yes_pairs, *no_pairs}:
         prob = machine._final(key)[1]
         accepted = state in dfa.accepting
         if (prob >= 1.0 - tolerance) != accepted:

@@ -17,6 +17,7 @@ untrusted fields with `as_int`, `as_alphabet` and `int_fields`.
 """
 
 import json
+import math
 from dataclasses import fields
 from itertools import groupby
 from operator import index
@@ -144,6 +145,18 @@ def word_length(word) -> int:
     if isinstance(word, str):
         return len(word)
     return sum(count for _, count in _runs_of(word))
+
+
+def _worst(deviations) -> float:
+    """The largest of 0.0 and the deviations, nan if any is nan (max()
+    would drop it)."""
+    worst = 0.0
+    for deviation in deviations:
+        if not deviation <= worst:  # larger, or nan
+            if deviation != deviation:
+                return math.nan
+            worst = deviation
+    return worst
 
 
 def load_json(text, what: str, build):

@@ -103,12 +103,12 @@ def test_family_flags_map_to_their_spec_or_exit_2(capsys, family, flags):
 
 
 def test_internal_synthesis_failure_exit_code(capsys, monkeypatch):
-    import qfa_exact.cli as cli_module
+    import qfa_exact.synth as synth_module
 
     def explode(*args, **kwargs):
         raise RuntimeError("planted synthesis fault")
 
-    monkeypatch.setattr(cli_module.synth, "select_angle", explode)
+    monkeypatch.setattr(synth_module, "select_angle", explode)
     code, _, err = run_cli(capsys, "synth", "--family", "A", "--N", "7", "--l", "3")
     assert code == 3
     assert "synthesis failure" in err
@@ -435,6 +435,34 @@ def test_dfa_refuses_a_table_past_the_budget_exit_code(tmp_path, capsys, family)
     assert out == ""
     assert err == "budget exceeded: a d=1000000007-state DFA exceeds budget 1000000 states\n"
     assert not output.exists()
+
+
+FAMILY_FLAGS = {
+    "A": ("--N", "7", "--l", "3"),
+    "B": ("--l", "4"),
+    "BN": ("--N", "5", "--l", "2"),
+}
+FAMILY_SPECS = {
+    "A": {"family": "A", "N": 7, "r_yes": 0, "r_no": 3},
+    "B": {"family": "B", "l": 4},
+    "BN": {"family": "BN", "N": 5, "l": 2},
+}
+
+
+@pytest.mark.parametrize("command", ["certify", "table"])
+@pytest.mark.parametrize("flag", ["--i-max", "--j-max"])
+@pytest.mark.parametrize("family", ["A", "B", "BN"])
+def test_negative_witness_bound_exit_code(tmp_path, capsys, family, flag, command):
+    # the bounds are checked before any family reads or ignores them, and
+    # before a budget: `BN` N=5, l=2 is past the default one
+    if command == "certify":
+        args = ("certify", "--family", family, *FAMILY_FLAGS[family])
+    else:
+        spec_path = tmp_path / "specs.json"
+        spec_path.write_text(json.dumps([FAMILY_SPECS[family]]))
+        args = ("table", "--specs", str(spec_path))
+    code, out, err = run_cli(capsys, *args, flag, "-1")
+    assert (code, out, err) == (2, "", "error: instance bounds must be nonnegative\n")
 
 
 def test_table_leaves_a_huge_d_uncertified(tmp_path, capsys):

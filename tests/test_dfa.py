@@ -603,6 +603,13 @@ def test_certify_binary_budget_error():
         certify_minimality_binary(BinaryPromiseSpec(2, 31))
 
 
+@pytest.mark.parametrize("spec", [BinaryPromiseSpec(4), BinaryPromiseSpec(2, 5), BinaryPromiseSpec(2, 31)])
+@pytest.mark.parametrize("bounds", [(-1, 8), (64, -1)])
+def test_certify_binary_checks_its_bounds_before_its_budget(spec, bounds):
+    with pytest.raises(ValueError, match="instance bounds must be nonnegative"):
+        certify_minimality_binary(spec, *bounds)
+
+
 def test_certificate_serialization():
     cert = certify_minimality_binary(BinaryPromiseSpec(4))
     data = cert.to_dict()

@@ -112,9 +112,7 @@ def test_unknown_names_still_raise_attribute_error():
 def test_submodules_resolve_after_a_bare_package_import():
     result = run_fresh(
         "import qfa_exact\n"
-        "print(qfa_exact.synth.build_unary(7, 3).dim, qfa_exact.moqfa.Moqfa.__name__)\n"
-        "import qfa_exact.cli\n"
-        "print(qfa_exact.cli.synth is qfa_exact.synth)"
+        "print(qfa_exact.synth.build_unary(7, 3).dim, qfa_exact.moqfa.Moqfa.__name__)"
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.splitlines() == ["3 Moqfa", "True"]
+    assert result.stdout.splitlines() == ["3 Moqfa"]

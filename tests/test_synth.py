@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -17,7 +18,7 @@ from qfa_exact import (
     select_angle,
     verify_exactness,
 )
-from qfa_exact.synth import build_for
+from qfa_exact.synth import _checked, build_for
 
 
 def smallest_window_j(N, l):
@@ -163,9 +164,21 @@ def test_lift_parameters_rejects_out_of_range():
         lift_parameters(0.5)
     with pytest.raises(ValueError):
         lift_parameters(-1.5)
+    with pytest.raises(ValueError):
+        lift_parameters(float("nan"))
     # boundary rounding noise is tolerated and clamped
     assert lift_parameters(5e-13).alpha == 0.0
     assert lift_parameters(-1.0 - 5e-13).alpha == pytest.approx(math.sqrt(0.5), abs=1e-12)
+
+
+def test_checked_refuses_a_nan_deviation():
+    # a nan entry gives a nan deviation, which no comparison with the
+    # tolerance lets through
+    machine = build_unary(7, 3)
+    u_left = [list(row) for row in machine._u_left]
+    u_left[1][1] = float("nan")
+    with pytest.raises(RuntimeError, match="drift from orthogonal by nan"):
+        _checked(replace(machine, u_left=u_left))
 
 
 def test_build_unary_examples():

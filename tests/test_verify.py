@@ -1,4 +1,5 @@
 import io
+import math
 import random
 import re
 import time
@@ -27,10 +28,11 @@ from qfa_exact import (
     verify_exactness,
     write_separation_csv,
 )
+from qfa_exact import verify
 from qfa_exact.dfa import build_min_dfa
-from qfa_exact.promise import _witness_columns, _witness_symbols
+from qfa_exact.promise import DEFAULT_I_MAX, DEFAULT_J_MAX, _witness_columns, _witness_symbols
 from qfa_exact.synth import build_for
-from qfa_exact.verify import _check_alphabets, _sweep_bounds
+from qfa_exact.verify import _check_alphabets, _sweep
 from qfa_exact.words import as_runs
 
 
@@ -495,8 +497,22 @@ def _key_sets(machine, spec, i_max, j_max, dfa=None):
     return sets
 
 
+@pytest.fixture
+def cuts(monkeypatch):
+    """The bounds (i, j) up to which each `_sweep` call has read the
+    witness grid, in call order."""
+    seen = []
+
+    def recording(spec, i_max, j_max):
+        seen.append((i_max, j_max))
+        return _witness_columns(spec, i_max, j_max)
+
+    monkeypatch.setattr(verify, "_witness_columns", recording)
+    return seen
+
+
 @pytest.mark.parametrize("seed", range(32))
-def test_cut_witness_grid_meets_every_pair_of_the_full_grid(seed):
+def test_cut_witness_grid_meets_every_pair_of_the_full_grid(seed, cuts):
     # random tables with tails and several cycles, their orbit tables
     # warmed in shuffled orders so that walks stop on held tails and
     # cycles; the cut
@@ -518,26 +534,24 @@ def test_cut_witness_grid_meets_every_pair_of_the_full_grid(seed):
     for spec in specs:
         alphabet = ("a",) if isinstance(spec, UnaryPromiseSpec) else ("a", "b")
         for machine in _machines_with_periods(spec, M):
-            symbols = _witness_symbols(spec, machine.alphabet)
             m = rng.randint(1, 9)
             delta = tuple(tuple(rng.randrange(m) for _ in alphabet) for _ in range(m))
             start = rng.randrange(m)
             bounds = [(0, 0), (1, 0), (3, 1), (9, 2), (24, 5), (48, 10)]
             bounds.append((rng.randint(0, 48), rng.randint(0, 10)))
             for i_max, j_max in bounds:
-                cuts = _sweep_bounds(spec, i_max, j_max, machine, symbols)
-                assert _key_sets(machine, spec, *cuts) == _key_sets(machine, spec, i_max, j_max)
+                sides = _sweep(machine, spec, i_max, j_max)
+                assert list(map(set, sides)) == _key_sets(machine, spec, i_max, j_max)
                 dfa = Dfa(m, alphabet, delta, start, frozenset())
                 warm = [(state, k) for state in range(m) for k in range(len(alphabet))]
                 rng.shuffle(warm)
                 for state, k in warm[: rng.randint(0, len(warm))]:
                     dfa._advance(state, k, 0)
-                dfa_axes = dfa._witness_periods(spec, alphabet, i_max, j_max)
-                cuts = _sweep_bounds(spec, i_max, j_max, machine, symbols, dfa_axes)
-                assert _key_sets(machine, spec, *cuts, dfa) == _key_sets(machine, spec, i_max, j_max, dfa), (
-                    spec, delta, start, i_max, j_max, cuts,
+                sides = _sweep(machine, spec, i_max, j_max, dfa)
+                assert list(map(set, sides)) == _key_sets(machine, spec, i_max, j_max, dfa), (
+                    spec, delta, start, i_max, j_max, cuts[-1],
                 )
-                bites += cuts != (i_max, j_max)
+                bites += cuts[-1] != (i_max, j_max)
     assert bites > 0
 
 
@@ -574,7 +588,7 @@ def test_cross_check_holds_each_cycle_of_a_large_counter_once():
     assert sum(cycles.values()) + sum(len(tail) for tail, _, _ in tables) <= 2 * d + 2
 
 
-def test_cut_reaches_a_b_tail_off_the_a_cycle():
+def test_cut_reaches_a_b_tail_off_the_a_cycle(cuts):
     # a^i b^(1 + 2j) from state 0: `a` leaves 0 at once for the loop at 1,
     # so only i = 0 reads the b-orbit of 0, a tail [0, 2, 3] into the
     # cycle [4, 5, 6]; b^(1 + 2j) ends in 2, 4, 6, 5 for j = 0..3, so the
@@ -582,13 +596,51 @@ def test_cut_reaches_a_b_tail_off_the_a_cycle():
     spec = BinaryPromiseSpec(1, 2)
     delta = ((1, 2), (1, 1), (1, 3), (1, 4), (1, 5), (1, 6), (1, 4))
     machine = build_binary_Nl(2, 1)
-    symbols = _witness_symbols(spec, machine.alphabet)
     for i_max, j_max in ((0, 3), (5, 6), (40, 12)):
         dfa = Dfa(7, ("a", "b"), delta, 0, frozenset())
-        periods = dfa._witness_periods(spec, ("a", "b"), i_max, j_max)
-        assert periods[1] == (1, 3)
-        cuts = _sweep_bounds(spec, i_max, j_max, machine, symbols, periods)
-        assert cuts[1] == 3
-        no_states = {state for _, state in _key_sets(machine, spec, *cuts, dfa)[1]}
-        assert no_states == ({1, 2, 4, 5, 6} if i_max else {2, 4, 5, 6})
-        assert _key_sets(machine, spec, *cuts, dfa) == _key_sets(machine, spec, i_max, j_max, dfa)
+        assert dfa._witness_periods(spec, ("a", "b"), i_max, j_max)[1] == (1, 3)
+        sides = list(map(set, _sweep(machine, spec, i_max, j_max, dfa)))
+        assert cuts[-1][1] == 3
+        assert {state for _, state in sides[1]} == ({1, 2, 4, 5, 6} if i_max else {2, 4, 5, 6})
+        assert sides == _key_sets(machine, spec, i_max, j_max, dfa)
+
+
+def _every_built_spec():
+    """`A` with N <= 60 (every residue pair), `B` with l <= 32 and `BN`
+    with N <= 40."""
+    for N in range(2, 61):
+        for r_yes in range(N):
+            for r_no in range(N):
+                if r_yes != r_no:
+                    yield UnaryPromiseSpec(N, r_yes, r_no)
+    for l in range(1, 33):
+        yield BinaryPromiseSpec(l)
+    for N in range(2, 41):
+        for l in range(1, N):
+            yield BinaryPromiseSpec(l, N)
+
+
+def test_every_built_machine_sweeps_one_class_per_side(cuts):
+    # a built machine's class key has period 1 along both indices, so its
+    # sweep reads one witness per side at any bounds, and against the
+    # minimal DFA it still meets one class key per side; a check of those
+    # keys covers the whole infinite promise
+    for spec in _every_built_spec():
+        machine = build_for(spec)[0]
+        sides = _sweep(machine, spec, DEFAULT_I_MAX, DEFAULT_J_MAX)
+        assert (cuts[-1], [len(side) for side in sides]) == ((0, 0), [1, 1]), spec
+        if isinstance(spec, BinaryPromiseSpec) or spec.r_yes == 0:
+            sides = _sweep(machine, spec, DEFAULT_I_MAX, DEFAULT_J_MAX, build_min_dfa(spec))
+            assert [len({key for key, _ in side}) for side in sides] == [1, 1], spec
+
+
+def test_a_nan_probability_fails_the_sweep():
+    # every probability is nan; max() would drop a nan and read 0.0
+    machine = build_unary(7, 3)
+    u_left = [list(row) for row in machine._u_left]
+    u_left[0][0] = float("nan")
+    broken = replace(machine, u_left=u_left)
+    report = verify_exactness(broken, UnaryPromiseSpec(7, 0, 3))
+    assert not report.passed
+    assert math.isnan(report.max_yes_deficit) and math.isnan(report.max_no_leak)
+    assert not cross_check(broken, build_min_dfa(UnaryPromiseSpec(7, 0, 3)), UnaryPromiseSpec(7, 0, 3))
