@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain, islice, product
 from math import gcd, lcm
-from operator import getitem
 
 from .promise import (
     BinaryPromiseSpec,
@@ -425,18 +424,18 @@ def _accepting_mask(ends) -> int | None:
 
 
 def _search(spec, claimed_d, witness_bounds, alphabet, candidates, words) -> MinimalityCertificate:
-    """Resolve every accepting subset of each (delta, start, ends)
-    candidate in closed form; the count is the one that trying subsets
-    one by one would reach. `ends` may be lazy: each is used up before
-    the next candidate is drawn."""
+    """Count the accepting subsets of each (delta, start, mask) candidate
+    up to the first that works, as trying them one by one would: all
+    2^m of them when `mask` is None (the candidate is refuted), else
+    mask + 1, where `mask` is the candidate's yes-state mask from
+    `_accepting_mask`, the first subset that classifies every witness."""
     checked = 0
-    for delta, start, ends in candidates:
-        m = len(delta)
-        mask = _accepting_mask(ends)
+    for delta, start, mask in candidates:
         if mask is None:
-            checked += 2**m
+            checked += 1 << len(delta)
             continue
         checked += mask + 1
+        m = len(delta)
         return MinimalityCertificate(
             spec=spec,
             claimed_d=claimed_d,
@@ -493,7 +492,7 @@ def certify_minimality_unary(
         for m in range(1, d):
             for tail in range(m):
                 delta = tuple((i + 1,) for i in range(m - 1)) + ((tail,),)
-                yield delta, 0, ((_orbit_index(n, m, tail), is_yes) for n, is_yes in witnesses)
+                yield delta, 0, _accepting_mask((_orbit_index(n, m, tail), is_yes) for n, is_yes in witnesses)
 
     return _search(spec, d, (i_max, None), ("a",), candidates(), (0, l))
 
@@ -516,10 +515,8 @@ def certify_minimality_binary(
     pair of classes does, in every candidate. Bounds past
     i_max = T + L - 1 or j_max = 2L - 1 add no new (a-class, b-class,
     label): i - L, or j - L, gives the same one, since both counts stay
-    at least T. So the witnesses are drawn at those bounds, each triple
-    is kept once, and a candidate's ends are read off walks of T + L
-    steps, made once per size m for every column of targets. No `Dfa`
-    is built per transition table.
+    at least T. So the witnesses are drawn at those bounds and each
+    triple is kept once.
 
     The accepting subsets of each (table, start) are resolved in closed
     form as in `certify_minimality_unary`: the first that works is the
@@ -528,6 +525,17 @@ def certify_minimality_binary(
     witnesses, so the classes give the same verdict, counterexample and
     machine count as every witness word would, and the count is the one
     that checking subsets one by one reaches.
+
+    Both are read off bitsets over (state x, b-class) pairs, one bit
+    x * (T + L) + b_class each, built once per size m from walks of
+    T + L steps for every column of targets: per b-column, one set per
+    end state e of the pairs whose b-walk from x ends at e; per a-column
+    and start, a yes-set and a no-set of the pairs (state after
+    a^(a-class), b-class) of the triples. A candidate is refuted iff some
+    end state's set meets both its yes- and its no-set; otherwise its
+    yes-state mask holds the end states whose set meets its yes-set. So
+    each candidate costs a few integer operations per end state, with no
+    walk over the witnesses and no `Dfa` built per transition table.
 
     Candidate counts explode as m^(2m); the default budget admits d <= 4
     and anything larger raises EnumerationBudgetError up front, once the
@@ -539,32 +547,54 @@ def certify_minimality_binary(
     tail, cycle = d - 2, lcm(*range(1, d))
     length = tail + cycle
     witnesses = _witness_counts(spec, min(i_max, length - 1), min(j_max, 2 * cycle - 1))
-    a_classes, b_classes, labels = zip(*dict.fromkeys(
+    triples = dict.fromkeys(
         (_orbit_index(n_a, length, tail), _orbit_index(n_b, length, tail), label is Classification.YES)
         for (n_a, n_b), label in witnesses
-    ))
+    )
     # the first yes- and no-witness, a^0 b^0 and b^l, whatever the bounds
     words = ((), (("b", spec.l),))
 
     def candidates():
         for m in range(1, d):
-            # walks[column][state]: the first T + L states visited from
-            # `state` by a symbol whose targets are `column`
-            walks = {}
-            for column in product(range(m), repeat=m):
-                walks[column] = paths = [[state] for state in range(m)]
-                for path in paths:
+            states = range(m)
+            # for a symbol with targets `column`: ends[column] holds
+            # (1 << e, the pairs whose walk ends at e) per end state e,
+            # and sides[column] (start, yes-set, no-set), the pairs
+            # (state after a^(a-class) from start, b-class) of the triples
+            ends, sides = {}, {}
+            for column in product(states, repeat=m):
+                bits = [0] * m
+                sides[column] = per_start = []
+                for x in states:
+                    # the first T + L states visited from x
+                    path = [x]
                     for _ in range(length - 1):
                         path.append(column[path[-1]])
-            for flat in product(range(m), repeat=2 * m):
-                a_column, b_column = flat[::2], flat[1::2]
-                b_walks = walks[b_column]
-                delta = tuple(zip(a_column, b_column))
-                for a_walk in walks[a_column]:
-                    # lazily, so that a conflict stops the walk: the
-                    # state after a^(a-class), then after b^(b-class)
-                    after_a = map(a_walk.__getitem__, a_classes)
-                    ends = map(getitem, map(b_walks.__getitem__, after_a), b_classes)
-                    yield delta, a_walk[0], zip(ends, labels)
+                    for b_class, e in enumerate(path):
+                        bits[e] |= 1 << (x * length + b_class)
+                    yes = no = 0
+                    for a_class, b_class, is_yes in triples:
+                        bit = 1 << (path[a_class] * length + b_class)
+                        if is_yes:
+                            yes |= bit
+                        else:
+                            no |= bit
+                    per_start.append((x, yes, no))
+                ends[column] = [(1 << e, end_bits) for e, end_bits in enumerate(bits)]
+            # rows in the order of product(states, repeat=2 * m) over the
+            # flat table a_0 b_0 a_1 b_1 ...
+            for delta in product(tuple(product(states, repeat=2)), repeat=m):
+                a_column, b_column = zip(*delta)
+                b_ends = ends[b_column]
+                for start, yes, no in sides[a_column]:
+                    # None (refuted) once an end state meets both sets
+                    mask = 0
+                    for e_bit, end_bits in b_ends:
+                        if end_bits & yes:
+                            if end_bits & no:
+                                mask = None
+                                break
+                            mask |= e_bit
+                    yield delta, start, mask
 
     return _search(spec, d, (i_max, j_max), ("a", "b"), candidates(), words)

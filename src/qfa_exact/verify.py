@@ -23,6 +23,7 @@ from .promise import (
     DEFAULT_I_MAX,
     DEFAULT_J_MAX,
     UnaryPromiseSpec,
+    _check_bounds,
     _grid_family,
     _witness_columns,
     _witness_sizes,
@@ -217,7 +218,9 @@ def separation_row(
     certify_budget: int | None = DEFAULT_ENUMERATION_BUDGET,
 ) -> SeparationRow:
     """Compute one table row; certification misses the budget quietly
-    (dfa_certified stays False) rather than failing the row."""
+    (dfa_certified stays False) rather than failing the row. A negative
+    witness bound raises ValueError whatever the family and the budget."""
+    _check_bounds(i_max, j_max)
     dfa_states, _ = claimed_size(spec)
     family = family_of(spec)
     certified = False

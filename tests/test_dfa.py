@@ -23,7 +23,7 @@ from qfa_exact import (
     smallest_modulus_alt,
     smallest_nondivisor,
 )
-from qfa_exact.dfa import _search, build_min_dfa, claimed_size
+from qfa_exact.dfa import _accepting_mask, _search, build_min_dfa, claimed_size
 from qfa_exact.promise import _witness_counts
 
 
@@ -525,7 +525,7 @@ def reference_certify_binary(spec, i_max=64, j_max=8):
                 dfa = Dfa(m, ("a", "b"), zip(flat[::2], flat[1::2]), 0, ())
                 advance = dfa._advance
                 for start in range(m):
-                    yield dfa.delta, start, (
+                    yield dfa.delta, start, _accepting_mask(
                         (advance(advance(start, 0, n_a), 1, n_b), is_yes)
                         for (n_a, n_b), is_yes in witnesses
                     )
@@ -542,6 +542,22 @@ def test_certify_binary_equals_the_per_witness_oracle_on_every_in_budget_spec():
             assert certify_minimality_binary(spec).to_dict() == reference_certify_binary(spec).to_dict(), spec
             checked += 1
     assert checked == 200
+
+
+def test_certify_binary_equals_the_per_witness_oracle_under_weak_witnesses():
+    # low bounds leave many specs with a smaller DFA that separates every
+    # witness, so this pins which candidate is found first and its count
+    specs = [BinaryPromiseSpec(l) for l in range(1, 61)]
+    specs += [BinaryPromiseSpec(l, N) for N in range(2, 25) for l in range(1, N)]
+    checked = refuted = 0
+    for spec in specs:
+        if claimed_size(spec)[0] <= 4:
+            for bounds in [(0, 0), (1, 0), (2, 1), (3, 2)]:
+                cert = certify_minimality_binary(spec, *bounds)
+                assert cert.to_dict() == reference_certify_binary(spec, *bounds).to_dict(), (spec, bounds)
+                checked += 1
+                refuted += not cert.certified
+    assert (checked, refuted) == (800, 132)
 
 
 def _cut_bounds(d):

@@ -139,6 +139,19 @@ def test_separation_row_without_certification():
     assert (row.qfa_states, row.dfa_states, row.dfa_certified) == (2, 3, True)
 
 
+@pytest.mark.parametrize(
+    "spec", [UnaryPromiseSpec(7, 0, 3), BinaryPromiseSpec(4), BinaryPromiseSpec(2, 5)], ids=["A", "B", "BN"]
+)
+@pytest.mark.parametrize("budget", [0, None, "default"])
+@pytest.mark.parametrize("bounds", [(-1, 8), (64, -1), (-5, -5)])
+def test_separation_refuses_a_negative_bound_whatever_the_family_and_budget(spec, budget, bounds):
+    options = {} if budget == "default" else {"certify_budget": budget}
+    with pytest.raises(ValueError, match="instance bounds must be nonnegative"):
+        separation_row(spec, *bounds, **options)
+    with pytest.raises(ValueError, match="instance bounds must be nonnegative"):
+        separation_table([spec], *bounds, **options)
+
+
 def test_separation_table_thread_pool_keeps_order():
     specs = [UnaryPromiseSpec(N, 0, 1) for N in (3, 5, 7, 11, 13)]
     serial = separation_table(specs, certify_budget=None)
