@@ -10,6 +10,10 @@ The matrices are 2x2 or 3x3, so evaluation is plain Python on tuples of
 float rows, and numpy is never needed to build, load or run a machine.
 It loads on the first read of an ndarray view: `Moqfa.u_left`, `u_sym`,
 `u_right`, `Moqfa.final_state` and `AngleSpec.rotation`.
+
+Construction checks the shape of every field and tests the closed form
+entry for entry, and evaluates no word. Orthogonality is checked by each
+builder and by the loader, which also checks the period.
 """
 
 import math
@@ -26,6 +30,8 @@ ORTHOGONALITY_TOLERANCE = 1e-10
 # below the 2 that any false period reaches
 PERIOD_DRIFT_PER_STEP = 1e-14
 PERIOD_TOLERANCE_CAP = 1e-6
+# a probability further than this outside [0, 1] is an error, not rounding
+PROBABILITY_TOLERANCE = 1e-9
 
 
 @dataclass(frozen=True)
@@ -78,7 +84,7 @@ class AngleSpec:
 # -- matrices as tuples of float rows -----------------------------------------
 class _Rows(tuple):
     """A square matrix of float rows that this package built itself
-    (`identity`, `turn`, `matmul`, the synthesis seed), so `_as_rows`
+    (`identity`, `turn`, `matmul`, the rows the builders write), so `_as_rows`
     takes it as it is."""
 
     __slots__ = ()
@@ -128,7 +134,18 @@ def _off_identity(m):
 
 
 def _gram_off_identity(m):
-    """|m^T m - I| on and above the diagonal; m^T m is symmetric."""
+    """|m^T m - I| on and above the diagonal; m^T m is symmetric. Each
+    entry `sum`s its column products in row order, spelled out for 2x2 and 3x3."""
+    if len(m) == 3:
+        (a, b, c), (d, e, f), (g, h, k) = m
+        return [
+            abs(sum((a * a, d * d, g * g)) - 1), abs(sum((a * b, d * e, g * h))), abs(sum((a * c, d * f, g * k))),
+            abs(sum((b * b, e * e, h * h)) - 1), abs(sum((b * c, e * f, h * k))),
+            abs(sum((c * c, f * f, k * k)) - 1),
+        ]
+    if len(m) == 2:
+        (a, b), (c, d) = m
+        return [abs(sum((a * a, c * c)) - 1), abs(sum((a * b, c * d))), abs(sum((b * b, d * d)) - 1)]
     columns = transpose(m)
     n = len(columns)
     return [abs(sum(map(mul, columns[i], columns[j])) - (i == j)) for i in range(n) for j in range(i, n)]
@@ -203,11 +220,15 @@ class Moqfa:
     its counts mod D, computed by one exactly-reduced cos/sin. Any other
     machine multiplies matrix powers, taken by repeated squaring.
 
-    Machines are immutable; the only internal state is the closed form's
-    memo of (final state, acceptance probability) by t, whose keys
-    `angle.D` bounds, so concurrent runs at worst recompute an entry.
-    Other machines keep no memo. The memo is not an init field, so
-    `dataclasses.replace` starts the copy with an empty one.
+    Machines are immutable. Construction keeps the start vector (basis
+    state 0 after the left marker); the only other internal state is the
+    closed form's memo of (final state, acceptance probability) by t,
+    whose keys `angle.D` bounds, with the empty word's pair (t = 0) kept
+    apart and made on first use. Concurrent runs at worst recompute an
+    entry. Other machines keep no memo. The memo is not an init field, so
+    `dataclasses.replace` starts the copy with an empty one. A
+    probability more than PROBABILITY_TOLERANCE outside [0, 1] raises
+    ValueError.
     """
 
     dim: int
@@ -220,25 +241,26 @@ class Moqfa:
     _powers: dict = field(init=False, default_factory=dict, repr=False)
     _turns: dict | None = field(init=False, default=None, repr=False)
     _unit: tuple = field(init=False, default=(), repr=False)
-    _empty_word: tuple = field(init=False, default=(), repr=False)
+    _start: tuple = field(init=False, default=(), repr=False)
+    _empty_word: tuple | None = field(init=False, default=None, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "alphabet", tuple(self.alphabet))
         object.__setattr__(self, "accepting", frozenset(self.accepting))
         if not hasattr(self._u_sym, "items"):
             raise ValueError("per-symbol matrices must map each symbol to its matrix")
-        object.__setattr__(self, "u_left", _as_rows(self._u_left, self.dim, "lmark"))
-        object.__setattr__(self, "u_right", _as_rows(self._u_right, self.dim, "rmark"))
-        object.__setattr__(
-            self, "u_sym", {sym: _as_rows(m, self.dim, sym) for sym, m in self._u_sym.items()}
-        )
+        # no ndarray view exists yet
+        rows = self.__dict__
+        rows["_u_left"] = _as_rows(self._u_left, self.dim, "lmark")
+        rows["_u_right"] = _as_rows(self._u_right, self.dim, "rmark")
+        rows["_u_sym"] = {sym: _as_rows(m, self.dim, sym) for sym, m in self._u_sym.items()}
         if set(self._u_sym) != set(self.alphabet):
             raise ValueError("per-symbol matrices must cover the alphabet exactly")
         if not self.accepting <= set(range(self.dim)):
             raise ValueError(f"accepting set {set(self.accepting)} out of range")
         object.__setattr__(self, "_turns", self._closed_form_turns())
-        state = apply(self._u_right, self._start())
-        object.__setattr__(self, "_empty_word", (state, self._measure(state)))
+        # basis state 0 after the left marker
+        object.__setattr__(self, "_start", tuple([row[0] for row in self._u_left]))
 
     def _closed_form_turns(self) -> dict | None:
         """{symbol: +1 or -1} when each symbol matrix is the angle's turn
@@ -248,7 +270,10 @@ class Moqfa:
             return None
         c, s = self.angle.cos_sin(1)
         object.__setattr__(self, "_unit", (c, s))
-        forward, backward = turn(self.dim, c, s), turn(self.dim, c, -s)
+        # the rows of turn(dim, c, s) and turn(dim, c, -s)
+        fixed, pad = identity(self.dim)[:-2], (0.0,) * (self.dim - 2)
+        forward = fixed + ((*pad, c, -s), (*pad, s, c))
+        backward = fixed + ((*pad, c, s), (*pad, -s, c))
         turns = {}
         for sym, m in self._u_sym.items():
             if m == forward:
@@ -332,30 +357,40 @@ class Moqfa:
         """Squared norm of the final state projected on the accepting set."""
         return self._final(self.class_of(word))[1]
 
-    def _start(self) -> tuple[float, ...]:
-        """Basis state 0 after the left marker."""
-        return tuple([row[0] for row in self._u_left])
-
     def _final(self, key) -> tuple[tuple[float, ...], float]:
         """(final state, acceptance probability) of the class `key`."""
         if self._turns is None:
-            state = self._start()
+            state = self._start
             for sym, count in key:
                 state = apply(_power(self._u_sym[sym], count), state)
             state = apply(self._u_right, state)
             return state, self._measure(state)
         if not key:
-            return self._empty_word
+            final = self._empty_word
+            if final is None:
+                state = apply(self._u_right, self._start)
+                final = (state, self._measure(state))
+                object.__setattr__(self, "_empty_word", final)
+            return final
         final = self._powers.get(key)
         if final is None:
             c, s = self.angle.cos_sin(key)
-            *fixed, x, y = self._start()
+            *fixed, x, y = self._start
             state = apply(self._u_right, (*fixed, c * x - s * y, s * x + c * y))
             final = self._powers[key] = (state, self._measure(state))
         return final
 
     def _measure(self, state) -> float:
+        """Squared norm of `state` on the accepting set, clamped to [0, 1]
+        from within PROBABILITY_TOLERANCE of it, else ValueError; nan stays nan."""
         prob = float(sum([state[i] ** 2 for i in self.accepting]))
+        if 0.0 <= prob <= 1.0:
+            return prob
+        if prob == prob and not -PROBABILITY_TOLERANCE <= prob <= 1.0 + PROBABILITY_TOLERANCE:
+            raise ValueError(
+                f"acceptance probability {prob:.6g} lies outside [0, 1] by more than "
+                f"{PROBABILITY_TOLERANCE:g}: the matrices drift from orthogonal over this word"
+            )
         return min(max(prob, 0.0), 1.0)
 
     def check_orthogonality(self) -> float:

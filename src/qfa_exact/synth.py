@@ -12,7 +12,7 @@ no-instances land exactly orthogonal to the accepting state.
 import math
 from dataclasses import dataclass
 
-from .moqfa import ORTHOGONALITY_TOLERANCE, AngleSpec, Moqfa, _Rows, identity, matmul, transpose, turn
+from .moqfa import ORTHOGONALITY_TOLERANCE, AngleSpec, Moqfa, _Rows, identity
 from .promise import UnaryPromiseSpec, family_of
 
 LIFT_TOLERANCE = 1e-12
@@ -101,14 +101,6 @@ def lift_parameters(p: float) -> LiftParameters:
     )
 
 
-def _seed_matrix(lift: LiftParameters) -> _Rows:
-    return _Rows((
-        (lift.alpha, -lift.beta, 0.0),
-        (lift.beta, lift.alpha, 0.0),
-        (0.0, 0.0, 1.0),
-    ))
-
-
 def _checked(machine: Moqfa) -> Moqfa:
     deviation = machine.check_orthogonality()
     if not deviation <= ORTHOGONALITY_TOLERANCE:
@@ -122,21 +114,36 @@ def _lifted_rotation(N: int, l: int, alphabet: tuple[str, ...], skip: int | None
     and let `a` rotate by theta (one letter) or by -theta against `b`'s
     +theta (two letters). `skip` pre-rotates the left marker by that many
     symbol steps. Each symbol turns the (1, 2) plane and leaves basis
-    state 0 alone. Returns the checked machine and the selection."""
+    state 0 alone. Returns the checked machine and the selection.
+
+    The rows are written out as `turn` and `matmul` would make them. Each
+    pre-rotated entry is one product among exact zeros, and matmul's sums
+    start from the int 0, which turns -0.0 into 0.0, as `+ 0.0` does."""
     selection = select_angle(N, l)
     angle = AngleSpec(selection.q, N)
     c, s = angle.cos_sin(1)
-    seed = _seed_matrix(lift_parameters(selection.p))
+    lift = lift_parameters(selection.p)
+    alpha, beta = lift.alpha, lift.beta
+    if skip is None:  # the seed
+        u_left = _Rows(((alpha, -beta, 0.0), (beta, alpha, 0.0), (0.0, 0.0, 1.0)))
+    else:  # matmul(turn(3, ck, sk), seed)
+        ck, sk = angle.cos_sin(skip)
+        u_left = _Rows((
+            (alpha + 0.0, -beta + 0.0, 0.0),
+            (ck * beta + 0.0, ck * alpha + 0.0, -sk + 0.0),
+            (sk * beta + 0.0, sk * alpha + 0.0, ck + 0.0),
+        ))
+    forward = _Rows(((1.0, 0.0, 0.0), (0.0, c, -s), (0.0, s, c)))
     if len(alphabet) == 1:
-        u_sym = {"a": turn(3, c, s)}
+        u_sym = {"a": forward}
     else:
-        u_sym = {"a": turn(3, c, -s), "b": turn(3, c, s)}
+        u_sym = {"a": _Rows(((1.0, 0.0, 0.0), (0.0, c, s), (0.0, -s, c))), "b": forward}
     machine = _checked(Moqfa(
         dim=3,
         alphabet=alphabet,
-        u_left=seed if skip is None else matmul(turn(3, *angle.cos_sin(skip)), seed),
+        u_left=u_left,
         u_sym=u_sym,
-        u_right=_Rows(transpose(seed)),
+        u_right=_Rows(((alpha, beta, 0.0), (-beta, alpha, 0.0), (0.0, 0.0, 1.0))),  # the seed's transpose
         accepting=frozenset({0}),
         angle=angle,
     ))
@@ -195,7 +202,8 @@ def build_binary_l(l: int) -> Moqfa:
         dim=2,
         alphabet=("a", "b"),
         u_left=identity(2),
-        u_sym={"a": turn(2, c, -s), "b": turn(2, c, s)},
+        # turn(2, c, -s) and turn(2, c, s)
+        u_sym={"a": _Rows(((c, s), (-s, c))), "b": _Rows(((c, -s), (s, c)))},
         u_right=identity(2),
         accepting=frozenset({0}),
         angle=angle,

@@ -1,11 +1,14 @@
 import itertools
 import json
 import re
+from pathlib import Path
 
 import pytest
 
 from qfa_exact import BinaryPromiseSpec, Dfa, Moqfa, UnaryPromiseSpec
 from qfa_exact.cli import _spec_from_args, build_parser, main
+
+DATA = Path(__file__).parent / "data"
 
 
 def run_cli(capsys, *argv):
@@ -46,6 +49,22 @@ def test_synth_summary_lines(capsys, monkeypatch, flags, summary):
     assert code == 0
     assert err == summary + "\n"
     assert len(calls) == (0 if flags[0] == "B" else 1)
+
+
+@pytest.mark.parametrize(
+    "flags,name",
+    [
+        (("A", "--N", "8", "--r1", "0", "--r2", "2"), "synth_A_N8_r1_0_r2_2"),  # alpha = -0.0
+        (("A", "--N", "13", "--r1", "5", "--r2", "2"), "synth_A_N13_r1_5_r2_2"),  # pre-rotated
+        (("B", "--l", "6"), "synth_B_l6"),
+        (("BN", "--N", "13", "--l", "5"), "synth_BN_N13_l5"),
+        (("A", "--N", "1000000000001", "--l", "1000000000000"), "synth_A_N1000000000001_l1000000000000"),
+    ],
+)
+def test_synth_stdout_matches_its_golden_file(capsys, flags, name):
+    code, out, _ = run_cli(capsys, "synth", "--family", *flags)
+    assert code == 0
+    assert out.encode() == (DATA / f"{name}.json").read_bytes()
 
 
 def test_synth_binary_machine(capsys):
@@ -405,6 +424,18 @@ def test_run_rejects_malformed_matrices(tmp_path, capsys, edit):
     named = {"str_entries": "matrix 'a'", "bool_entries": "matrix 'lmark'",
              "ragged_row": "matrix 'a'", "matrices_array": "matrices must be an object"}
     assert named[edit] in err
+
+
+def test_run_refuses_a_probability_beyond_the_tolerance(capsys):
+    # the loader passes this machine (deviation 4e-11); over 10**12 steps
+    # its drift makes the squared accepting amplitude about 1.5e17
+    path = str(DATA / "drifting_machine.json")
+    code, out, _ = run_cli(capsys, "run", "--machine", path, "--length", "14")
+    assert code == 0 and abs(float(out) - 1.0) <= 1e-9
+    code, out, err = run_cli(capsys, "run", "--machine", path, "--length", str(10**12 + 5))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: acceptance probability ") and err.count("\n") == 1
 
 
 def test_run_on_a_synthesized_machine_with_a_huge_modulus(tmp_path, capsys):

@@ -2,20 +2,26 @@ import json
 import math
 from dataclasses import replace
 from operator import mul
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from qfa_exact import (
     AngleSpec,
+    BinaryPromiseSpec,
     Moqfa,
+    UnaryPromiseSpec,
     build_binary_Nl,
     build_binary_l,
     build_unary,
-    build_unary_general,
     build_unary_min_dfa,
+    enumerate_instances,
 )
-from qfa_exact.moqfa import _as_rows, _Rows, identity, matmul, turn
+from qfa_exact.moqfa import _as_rows, _gram_off_identity, _Rows, identity, matmul, turn
+from qfa_exact.synth import build_for
+
+DATA = Path(__file__).parent / "data"
 
 
 def naive_final_state(machine, word):
@@ -372,32 +378,135 @@ def test_loading_refuses_a_false_period_beyond_the_drift_range():
         Moqfa.from_dict(data)
 
 
+def reference_gram(m):
+    """|m^T m - I| on and above the diagonal, row by row, each entry a sum
+    over the two columns: the generic Gram formula."""
+    columns = list(zip(*m))
+    n = len(columns)
+    return [abs(sum(map(mul, columns[i], columns[j])) - (i == j)) for i in range(n) for j in range(i, n)]
+
+
 def reference_orthogonality(machine):
     """The full Gram check on every matrix: the worst |M^T M - I| entry on
     and above the diagonal, nan if any is nan, 0.0 with no entries."""
     deviations = []
     for m in machine.to_dict()["matrices"].values():
-        columns = list(zip(*m))
-        n = len(columns)
-        deviations += [abs(sum(map(mul, columns[i], columns[j])) - (i == j)) for i in range(n) for j in range(i, n)]
+        deviations += reference_gram(m)
     if any(map(math.isnan, deviations)):
         return math.nan
     return max(deviations, default=0.0)
 
 
-def _grid_machines():
-    """Every built machine for A with N <= 25 (all residue pairs), B with
-    l <= 60 and BN with N <= 40."""
-    for N in range(2, 26):
+@pytest.mark.parametrize("dim", [2, 3])
+def test_check_orthogonality_equals_the_generic_gram_on_random_matrices(dim):
+    """Dense random matrices and near-rotations, some with a nan or an
+    infinite entry, as markers around a closed-form symbol or as the
+    symbol itself: the deviations equal the generic formula's by repr."""
+    rng = np.random.default_rng(dim)
+    angle = AngleSpec(3, 11)
+    closed_form = 0
+    for k in range(600):
+        matrices = []
+        for _ in range(3):
+            if rng.random() < 0.5:
+                m = rng.normal(size=(dim, dim)).tolist()
+            else:
+                t = rng.uniform(0, 2 * math.pi)
+                m = [list(row) for row in turn(dim, math.cos(t), math.sin(t))]
+                m[rng.integers(dim)][rng.integers(dim)] += rng.choice([0.0, 1e-11, -3e-7])
+            matrices.append(m)
+        u_left, u_sym, u_right = matrices
+        if k % 2:
+            u_sym = turn(dim, *angle.cos_sin(1))
+        entry = [None, math.nan, math.inf, -math.inf][k % 4]
+        if entry is not None:
+            target = [u_left, u_right, u_sym][k // 4 % 3]
+            if not isinstance(target, list):
+                target = u_sym = [list(row) for row in u_sym]
+            target[rng.integers(dim)][rng.integers(dim)] = entry
+        machine = Moqfa(dim=dim, alphabet=("a",), u_left=u_left, u_sym={"a": u_sym}, u_right=u_right,
+                        accepting={0}, angle=angle)
+        closed_form += machine._turns is not None
+        for m in (machine._u_left, machine._u_sym["a"], machine._u_right):
+            assert list(map(repr, _gram_off_identity(m))) == list(map(repr, reference_gram(m)))
+        worst = machine.check_orthogonality()
+        assert repr(worst) == repr(reference_orthogonality(machine)), machine.to_json()
+        if entry is not None:
+            assert math.isnan(worst) if math.isnan(entry) else not math.isfinite(worst)
+    assert closed_form >= 200
+
+
+def test_an_infinite_entry_beside_a_zero_gives_a_nan_deviation():
+    rows = [[1.0, 0.0, 0.0], [0.0, math.inf, 0.0], [0.0, 0.0, 1.0]]  # inf * 0.0 is nan
+    machine = Moqfa(dim=3, alphabet=(), u_left=rows, u_sym={}, u_right=identity(3), accepting={0})
+    assert math.isnan(machine.check_orthogonality())
+    assert math.isnan(reference_orthogonality(machine))
+
+
+def _grid_specs(a_max, b_max, bn_max):
+    """The spec of every built machine for A with N <= a_max (all residue
+    pairs), B with l <= b_max and BN with N <= bn_max."""
+    for N in range(2, a_max + 1):
         for r_yes in range(N):
             for r_no in range(N):
                 if r_yes != r_no:
-                    yield build_unary_general(N, r_yes, r_no)
-    for l in range(1, 61):
-        yield build_binary_l(l)
-    for N in range(2, 41):
+                    yield UnaryPromiseSpec(N, r_yes, r_no)
+    for l in range(1, b_max + 1):
+        yield BinaryPromiseSpec(l)
+    for N in range(2, bn_max + 1):
         for l in range(1, N):
-            yield build_binary_Nl(N, l)
+            yield BinaryPromiseSpec(l, N)
+
+
+def _grid_machines():
+    """Every built machine for A with N <= 25 (all residue pairs), B with
+    l <= 60 and BN with N <= 40."""
+    for spec in _grid_specs(25, 60, 40):
+        yield build_for(spec)[0]
+
+
+def _huge_words(spec):
+    """Three witnesses of `spec` with i near 10**12: two yes-words and a
+    no-word for A, a yes-word and two no-words (j = 0 and j = 10**6 for
+    BN) for B and BN."""
+    i = 10**12
+    if isinstance(spec, UnaryPromiseSpec):
+        return [spec.r_yes + i * spec.N, spec.r_no + (i + 1) * spec.N, spec.r_yes + (i + 7) * spec.N]
+    far = spec.l + (0 if spec.N is None else 10**6 * spec.N)
+    return [(("a", i), ("b", i)), (("a", i + 1), ("b", i + 1 + spec.l)), (("a", i + 7), ("b", i + 7 + far))]
+
+
+def test_every_built_machine_and_its_json_clone_agree_bit_for_bit():
+    """For A with N <= 40 (all residue pairs), B with l <= 32 and BN with
+    N <= 30, the JSON clone passes every loader check and equals the
+    machine by repr (signed zeros count): the same turns, the same
+    orthogonality deviation and the same probabilities on the witness
+    grid (i <= 2, j <= 1; a built machine has one class per side at any
+    bounds) and on three words with i near 10**12. No probability among
+    them raises."""
+    count = 0
+    for spec in _grid_specs(40, 32, 30):
+        machine = build_for(spec)[0]
+        clone = Moqfa.from_json(machine.to_json(indent=None))
+        assert machine._turns is not None and clone._turns == machine._turns
+        assert repr(clone.check_orthogonality()) == repr(machine.check_orthogonality())
+        words = [word for word, _ in enumerate_instances(spec, 2, 1)] + _huge_words(spec)
+        expected = [repr(machine.accept_probability(word)) for word in words]
+        assert [repr(clone.accept_probability(word)) for word in words] == expected, spec
+        count += 1
+    assert count == 21320 + 32 + 435
+
+
+def test_a_probability_beyond_the_tolerance_raises():
+    # build_unary(7, 3) without its angle, `a` scaled by 1 + 2e-11: the
+    # loader passes it (deviation 4e-11), but over 10**12 steps the
+    # accepting amplitude grows to about 4e8, once clamped to 1.0
+    machine = Moqfa.from_json((DATA / "drifting_machine.json").read_text())
+    assert machine.angle is None
+    assert 3e-11 < machine.check_orthogonality() <= 1e-10
+    assert machine.accept_probability(14) == pytest.approx(1.0, abs=1e-9)
+    with pytest.raises(ValueError, match="outside \\[0, 1\\]"):
+        machine.accept_probability(10**12 + 5)
 
 
 def _with_matrices(machine, edit):
