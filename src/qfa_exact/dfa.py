@@ -11,7 +11,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain, islice, product
-from math import gcd, lcm
+from math import lcm
 
 from .promise import (
     BinaryPromiseSpec,
@@ -22,28 +22,13 @@ from .promise import (
     family_of,
     spec_to_dict,
 )
-from .words import as_alphabet, as_int, as_runs, dump_json, load_json, record_dict
+from .words import _STILL, _Lasso, as_alphabet, as_int, as_runs, dump_json, load_json, record_dict
 
 DEFAULT_ENUMERATION_BUDGET = 10**6
 
 
 class EnumerationBudgetError(RuntimeError):
     """Raised when a certificate search would exceed its machine budget."""
-
-
-def _orbit_index(count: int, length: int, cycle_start: int) -> int:
-    """Position after `count` steps along a path of `length` states whose
-    entries from `cycle_start` on repeat forever: the count itself inside
-    the path, reduced around the cycle beyond it."""
-    if count < length:
-        return count
-    return cycle_start + (count - cycle_start) % (length - cycle_start)
-
-
-def _counted_period(tail: int, cycle_length: int, lowest: int, step: int) -> tuple[int, int]:
-    """(tail, period) in k of the state after lowest + k * step or more
-    steps along an orbit with this tail length and cycle length."""
-    return max(0, -((lowest - tail) // step)), cycle_length // gcd(step, cycle_length)
 
 
 class _Table(tuple):
@@ -153,26 +138,21 @@ class Dfa:
         return states
 
     def _witness_periods(self, spec, symbols, i_max: int, j_max: int) -> tuple:
-        """(tail, period) of `_final_states` along i and along j over the
+        """The lassos of `_final_states` along i and along j over the
         witness grid of `promise._witness_columns`, read over `symbols`:
         two witnesses of one side whose index along the axis is at least
         the tail and differs by a multiple of the period, the other index
-        equal, end in one state. Along i this holds for every j. The walk
-        along an axis stops once tail + period - 1 passes its bound, where
-        a sweep up to the bound meets no repeat, so the orbits read are
-        among those that the sweep up to the bounds reads.
+        equal, end in one state. Along i this holds for every j.
 
-        A count n of one symbol from state x ends where n + L does once
-        n >= c, for the tail length c and cycle length L of x's orbit.
-        Unary witnesses count r + iN. A binary witness a^i b^(i+s), with
-        s >= 0 and s = l + jN on the BN no-side, repeats in i once a^i
-        has reached the a-cycle and i has passed the b-tails of its
-        states, and in j once l + jN has passed the b-tail of the state
-        that a^i reaches."""
+        A count of one symbol from state x follows the lasso of x's orbit.
+        Unary witnesses count r + iN: the start's lasso along (r, N). A
+        binary witness a^i b^(i+s), s >= 0 and s = l + jN on the BN
+        no-side, follows the a-orbit's lasso joined with the b-lassos of
+        the a-cycle along i, and the b-lassos along (l, N) of the states
+        that some a^i reaches along j."""
         if isinstance(spec, UnaryPromiseSpec):
             tail, cycle, _ = self._orbit(self.start, self.alphabet.index(symbols[0]))
-            lowest = min(spec.r_yes, spec.r_no)
-            return _counted_period(len(tail), len(cycle), lowest, spec.N), (0, 1)
+            return _Lasso((len(tail), len(cycle))).along(min(spec.r_yes, spec.r_no), spec.N), _STILL
         a, b = symbols
         b_index = self.alphabet.index(b)
         if a in self.alphabet:
@@ -181,25 +161,28 @@ class Dfa:
             a_cycle = a_cycle[a_offset:] + a_cycle[:a_offset]
         else:  # the check of the alphabets has left only i = 0
             a_tail, a_cycle = (), [self.start]
-        # along i: the a-cycle, and the b-orbit of each of its states
-        tail, period = len(a_tail), len(a_cycle)
-        for x in a_cycle:
-            if tail + period - 1 > i_max:
-                break
-            b_tail, b_cycle, _ = self._orbit(x, b_index)
-            tail, period = max(tail, len(b_tail)), lcm(period, len(b_cycle))
-        i_axis = tail, period
+        # along i: the a-orbit, and the b-orbit of each state on its cycle
+        i_axis = self._joined(_Lasso((len(a_tail), len(a_cycle))), a_cycle, b_index, i_max, 0, 1)
         if spec.N is None:  # `B` witnesses have no j
-            return i_axis, (0, 1)
+            return i_axis, _STILL
         # along j: the b-orbit of each state that some a^i reaches
-        tail, period = 0, 1
-        for x in islice(chain(a_tail, a_cycle), i_max + 1):
-            b_tail, b_cycle, _ = self._orbit(x, b_index)
-            x_tail, x_period = _counted_period(len(b_tail), len(b_cycle), spec.l, spec.N)
-            tail, period = max(tail, x_tail), lcm(period, x_period)
-            if tail + period - 1 > j_max:
+        reached = islice(chain(a_tail, a_cycle), i_max + 1)
+        return i_axis, self._joined(_STILL, reached, b_index, j_max, spec.l, spec.N)
+
+    def _joined(self, axis: _Lasso, states, sym_index: int, bound: int, lowest: int, step: int) -> _Lasso:
+        """`axis` joined with the lasso along (lowest, step) of the orbit of
+        each of `states`, once per orbit shape, until it closes past `bound`:
+        the orbits read are then among those that a sweep up to it reads."""
+        shapes = set()
+        for x in states:
+            if axis.tail + axis.period - 1 > bound:
                 break
-        return i_axis, (tail, period)
+            tail, cycle, _ = self._orbit(x, sym_index)
+            shape = len(tail), len(cycle)
+            if shape not in shapes:
+                shapes.add(shape)
+                axis = axis.join(_Lasso(shape).along(lowest, step))
+        return axis
 
     def final_state_of(self, word) -> int:
         state = self.start
@@ -395,6 +378,8 @@ class MinimalityCertificate:
 def _check_budget(counts, budget: int, d: int) -> None:
     """Add up the candidate counts per machine size below d and refuse as
     soon as the total passes the budget, before it grows any larger."""
+    if budget < 0:
+        raise ValueError(f"budget must be nonnegative, got {budget}")
     total = 0
     for count in counts:
         total += count
@@ -430,27 +415,23 @@ def _search(spec, claimed_d, witness_bounds, alphabet, candidates, words) -> Min
     mask + 1, where `mask` is the candidate's yes-state mask from
     `_accepting_mask`, the first subset that classifies every witness."""
     checked = 0
+    counterexample = None
     for delta, start, mask in candidates:
         if mask is None:
             checked += 1 << len(delta)
             continue
         checked += mask + 1
         m = len(delta)
-        return MinimalityCertificate(
-            spec=spec,
-            claimed_d=claimed_d,
-            witness_bounds=witness_bounds,
-            machines_checked=checked,
-            certified=False,
-            counterexample=Dfa(m, alphabet, delta, start, frozenset(i for i in range(m) if mask >> i & 1)),
-            counterexample_words=words,
-        )
+        counterexample = Dfa(m, alphabet, delta, start, frozenset(i for i in range(m) if mask >> i & 1))
+        break
     return MinimalityCertificate(
         spec=spec,
         claimed_d=claimed_d,
         witness_bounds=witness_bounds,
         machines_checked=checked,
-        certified=True,
+        certified=counterexample is None,
+        counterexample=counterexample,
+        counterexample_words=None if counterexample is None else words,
     )
 
 
@@ -476,6 +457,7 @@ def certify_minimality_unary(
     state, so the first one in enumeration order is the union of the
     yes-witness states, and none works when a state ends both kinds. The
     reported machine count is identical to checking subsets one by one.
+    A negative witness bound, then a negative budget, raises ValueError.
     """
     d = smallest_modulus(N, l)
     if i_max is None:
@@ -484,7 +466,8 @@ def certify_minimality_unary(
         raise ValueError("witness bound must be nonnegative")
     spec = UnaryPromiseSpec(N, 0, l)
     _check_budget((m * 2**m for m in range(1, d)), budget, d)
-    witnesses = [(i * N + r, r == 0) for i in range(min(i_max, 2 * d + 2) + 1) for r in (0, l)]
+    drawn = min(i_max, 2 * d + 2) + 1
+    counts, labels = [i * N + r for i in range(drawn) for r in (0, l)], (True, False) * drawn
 
     def candidates():
         # state i steps to i + 1 and the last one back to state `tail`,
@@ -492,7 +475,7 @@ def certify_minimality_unary(
         for m in range(1, d):
             for tail in range(m):
                 delta = tuple((i + 1,) for i in range(m - 1)) + ((tail,),)
-                yield delta, 0, _accepting_mask((_orbit_index(n, m, tail), is_yes) for n, is_yes in witnesses)
+                yield delta, 0, _accepting_mask(zip(map(_Lasso((tail, m - tail)).index, counts), labels))
 
     return _search(spec, d, (i_max, None), ("a",), candidates(), (0, l))
 
@@ -507,24 +490,21 @@ def certify_minimality_binary(
     transition table, start state, and accepting subset with fewer than
     d states is judged on the witnesses from enumerate_instances.
 
-    The witnesses are read as classes, not words. In a machine with
-    fewer than d states, one symbol leads any state through a tail of at
-    most T = d - 2 states into a cycle whose length is below d, so it
-    divides L = lcm(1..d-1). Hence `count` steps end where
-    `_orbit_index(count, T + L, T)` steps do, and a^i b^m ends where its
-    pair of classes does, in every candidate. Bounds past
-    i_max = T + L - 1 or j_max = 2L - 1 add no new (a-class, b-class,
-    label): i - L, or j - L, gives the same one, since both counts stay
-    at least T. So the witnesses are drawn at those bounds and each
-    triple is kept once.
+    The witnesses are read as classes, not words. Below d states, one
+    symbol leads any state through a tail of at most T = d - 2 states
+    into a cycle whose length divides L = lcm(1..d-1). So each count
+    follows the universal lasso `walk` = (T, L): a^i b^m ends where
+    a^walk.index(i) b^walk.index(m) does, in every candidate. Past
+    `walk.last(i_max)` along i, and past `walk.along(l, N).last(j_max)`
+    along j, where the b-count i + l + jN has passed T, each (a-class,
+    b-class, label) triple repeats one met before. So the witnesses are
+    drawn up to those bounds and each triple is kept once.
 
     The accepting subsets of each (table, start) are resolved in closed
-    form as in `certify_minimality_unary`: the first that works is the
-    union of the yes-witness states, unless a state ends both a yes- and
-    a no-witness. Neither depends on the order or repetition of the
-    witnesses, so the classes give the same verdict, counterexample and
-    machine count as every witness word would, and the count is the one
-    that checking subsets one by one reaches.
+    form as in `certify_minimality_unary`, which depends neither on the
+    order nor on the repetition of the witnesses: the classes give the
+    verdict, counterexample and machine count that every witness word,
+    and checking subsets one by one, would give.
 
     Both are read off bitsets over (state x, b-class) pairs, one bit
     x * (T + L) + b_class each, built once per size m from walks of
@@ -539,17 +519,17 @@ def certify_minimality_binary(
 
     Candidate counts explode as m^(2m); the default budget admits d <= 4
     and anything larger raises EnumerationBudgetError up front, once the
-    bounds are checked.
+    bounds are checked. A negative budget raises ValueError.
     """
     _check_bounds(i_max, j_max)
     d, _ = claimed_size(spec)
     _check_budget((m ** (2 * m) * m * 2**m for m in range(1, d)), budget, d)
-    tail, cycle = d - 2, lcm(*range(1, d))
-    length = tail + cycle
-    witnesses = _witness_counts(spec, min(i_max, length - 1), min(j_max, 2 * cycle - 1))
+    walk = _Lasso((d - 2, lcm(*range(1, d))))
+    length = walk.tail + walk.period
+    j_walk = walk.along(spec.l, spec.N or 0)  # `B` witnesses have no j
+    witnesses = _witness_counts(spec, walk.last(i_max), j_walk.last(j_max))
     triples = dict.fromkeys(
-        (_orbit_index(n_a, length, tail), _orbit_index(n_b, length, tail), label is Classification.YES)
-        for (n_a, n_b), label in witnesses
+        (walk.index(n_a), walk.index(n_b), label is Classification.YES) for (n_a, n_b), label in witnesses
     )
     # the first yes- and no-witness, a^0 b^0 and b^l, whatever the bounds
     words = ((), (("b", spec.l),))

@@ -18,10 +18,10 @@ builder and by the loader, which also checks the period.
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, reduce
 from operator import mul
 
-from .words import _worst, as_alphabet, as_int, as_runs, dump_json, int_fields, load_json
+from .words import _STILL, _Lasso, _worst, as_alphabet, as_int, as_runs, dump_json, int_fields, load_json
 
 ORTHOGONALITY_TOLERANCE = 1e-10
 # |u^D - I| of a built machine grows linearly in D (at worst 1.9e-16 * D
@@ -332,21 +332,22 @@ class Moqfa:
         D = self.angle.D
         return [key % D for key in keys]
 
-    def _class_period(self, symbols, steps) -> int | None:
-        """A period of `class_of` along a line of words, each counting
+    def _class_lasso(self, symbols, steps) -> _Lasso | None:
+        """The lasso of `class_of` along a line of words, each counting
         steps[k] more of symbols[k] than the one before (aligned as in
-        `_class_keys`): words a multiple of it apart share a class. None
-        for a machine without an angle, whose key keeps every count."""
+        `_class_keys`), with no tail: a key is a function of the counts
+        mod D. None for a machine without an angle, whose key keeps every
+        count, once some count moves."""
         if not any(steps):
-            return 1
+            return _STILL
         if self.angle is None:
             return None
-        D = self.angle.D
+        circle = _Lasso((0, self.angle.D))
         turns = self._turns
         if turns is None:
             # `reduced_runs` reduces each count mod D on its own
-            return math.lcm(*[D // math.gcd(step, D) for step in steps])
-        return D // math.gcd(sum([turns.get(sym, 0) * step for sym, step in zip(symbols, steps)]), D)
+            return reduce(_Lasso.join, [circle.along(0, step) for step in steps])
+        return circle.along(0, sum([turns.get(sym, 0) * step for sym, step in zip(symbols, steps)]) % self.angle.D)
 
     def final_state(self, word):
         """State vector after left-marker, word, right-marker on basis state

@@ -8,7 +8,6 @@ the quantum-vs-DFA state-count table.
 
 import csv
 from dataclasses import dataclass
-from math import lcm
 from typing import TYPE_CHECKING
 
 from .dfa import (
@@ -33,7 +32,7 @@ from .promise import (
     family_of,
     spec_to_dict,
 )
-from .words import _worst, as_runs, dump_json, record_dict
+from .words import _STILL, _worst, as_runs, dump_json, record_dict
 
 if TYPE_CHECKING:  # the harness only calls a machine's methods; `moqfa` stays unloaded
     from .moqfa import Moqfa
@@ -48,9 +47,8 @@ class ExactnessReport:
     """Worst-case deviations from exact acceptance over a witness sweep.
 
     `yes_checked` and `no_checked` count every witness up to the bounds
-    `i_max` and `j_max`. The sweep evaluates only those up to the point
-    past which every class key repeats, and so covers the rest by their
-    period: the worst deviations are those of all counted witnesses."""
+    `i_max` and `j_max`. The sweep evaluates those up to the `last` of
+    each axis's class-key lasso, whose period covers the rest."""
 
     spec: object
     machine_states: int
@@ -89,46 +87,29 @@ def _check_alphabets(spec, i_max: int, j_max: int, alphabets) -> None:
                 as_runs(word, alphabet)
 
 
-def _cut(bound: int, *axes) -> int:
-    """The last index along one axis of the witness grid that a sweep
-    must visit. Each of `axes` is the (tail, period) of one key of the
-    witnesses along it, the period None where the key has none within
-    the bound: past the largest tail plus the lcm of the periods, minus
-    one, every tuple of keys repeats one met before."""
-    tail, period = 0, 1
-    for axis_tail, axis_period in axes:
-        if axis_period is None:
-            return bound
-        tail, period = max(tail, axis_tail), lcm(period, axis_period)
-    return min(bound, tail + period - 1)
-
-
 def _sweep(machine: "Moqfa", spec, i_max: int, j_max: int, dfa: Dfa | None = None) -> list:
     """Per side, the class keys (`Moqfa.class_of`) of the witnesses up to
     one period of the grid, each paired with the DFA's final state when
     `dfa` is given; the alphabets and the bounds are checked first.
 
-    Along each generator index a class key repeats with the period of
-    `Moqfa._class_period`, and a DFA's final state past the (tail, period)
-    of `Dfa._witness_periods`. `_cut` joins them, so every witness up to
-    the bounds has the key, or the (key, state) pair, of one up to the
-    cut. A machine without an angle has no period: all are read."""
+    Each axis is cut at the `last` of the join of the class key's lasso
+    (`Moqfa._class_lasso`) and the DFA state's (`Dfa._witness_periods`),
+    so every witness up to the bounds has the key, or the (key, state)
+    pair, of one up to the cut; without an angle, all are read."""
     alphabets = (machine.alphabet,) if dfa is None else (machine.alphabet, dfa.alphabet)
     _check_alphabets(spec, i_max, j_max, alphabets)
     _grid_family(spec, i_max, j_max)  # the spec and the bounds, checked before the DFA reads them
     symbols = _witness_symbols(spec, machine.alphabet)
     if dfa is None:
-        dfa_i, dfa_j = (0, 1), (0, 1)  # no second key
+        dfa_axes = _STILL, _STILL  # no second key
     else:
         dfa_symbols = _witness_symbols(spec, dfa.alphabet)
-        dfa_i, dfa_j = dfa._witness_periods(spec, dfa_symbols, i_max, j_max)
-    # a class key has no tail: it is a function of the counts mod its period
-    i_steps, j_steps = _witness_steps(spec)
-    sides = _witness_columns(
-        spec,
-        _cut(i_max, (0, machine._class_period(symbols, i_steps)), dfa_i),
-        _cut(j_max, (0, machine._class_period(symbols, j_steps)), dfa_j),
-    )
+        dfa_axes = dfa._witness_periods(spec, dfa_symbols, i_max, j_max)
+    cuts = []
+    for bound, steps, dfa_axis in zip((i_max, j_max), _witness_steps(spec), dfa_axes):
+        machine_axis = machine._class_lasso(symbols, steps)
+        cuts.append(bound if machine_axis is None else machine_axis.join(dfa_axis).last(bound))
+    sides = _witness_columns(spec, *cuts)
     if dfa is None:
         return [machine._class_keys(symbols, columns) for columns in sides]
     # both sides in one pass, so that the DFA reads each orbit once

@@ -20,7 +20,7 @@ import json
 import math
 from dataclasses import fields
 from itertools import groupby
-from operator import index
+from operator import index, itemgetter
 
 
 def as_runs(word, alphabet) -> tuple[tuple[str, int], ...]:
@@ -145,6 +145,43 @@ def word_length(word) -> int:
     if isinstance(word, str):
         return len(word)
     return sum(count for _, count in _runs_of(word))
+
+
+class _Lasso(tuple):
+    """A walk of `tail` steps into a cycle of `period` positions, as a DFA
+    orbit or a rotation's class key (tail 0, period D) walks a count:
+    after n and n + period steps it stands at one position if n >= tail.
+    Built as _Lasso((tail, period)): no Python __new__ keeps it cheap."""
+
+    __slots__ = ()
+    tail = property(itemgetter(0))
+    period = property(itemgetter(1))
+
+    def index(self, n: int) -> int:
+        """The position after n steps, numbered by the first count to reach it."""
+        tail, period = self
+        return n if n < tail else tail + (n - tail) % period
+
+    def along(self, lowest: int, step: int) -> "_Lasso":
+        """The lasso in k of the position after lowest + k * step steps,
+        for step >= 0; a step of 0 never moves."""
+        if not step:
+            return _STILL
+        tail, period = self
+        return _Lasso((max(0, -((lowest - tail) // step)), period // math.gcd(step, period)))
+
+    def join(self, other: "_Lasso") -> "_Lasso":
+        """The lasso of the pair of positions of two walks taken in step."""
+        (tail, period), (other_tail, other_period) = self, other
+        return _Lasso((max(tail, other_tail), math.lcm(period, other_period)))
+
+    def last(self, bound: int) -> int:
+        """The last count a walk must take to meet all it meets up to `bound`."""
+        return min(bound, self.tail + self.period - 1)
+
+
+# the walk that never moves, the identity of `join`
+_STILL = _Lasso((0, 1))
 
 
 def _worst(deviations) -> float:

@@ -496,6 +496,23 @@ def test_negative_witness_bound_exit_code(tmp_path, capsys, family, flag, comman
     assert (code, out, err) == (2, "", "error: instance bounds must be nonnegative\n")
 
 
+@pytest.mark.parametrize("command", ["certify", "table"])
+@pytest.mark.parametrize("family", ["A", "B", "BN"])
+def test_negative_budget_exit_code(tmp_path, capsys, family, command):
+    # only 0 turns table certification off; a negative budget is refused
+    # for every family, after a negative witness bound
+    if command == "certify":
+        args = ("certify", "--family", family, *FAMILY_FLAGS[family])
+    else:
+        spec_path = tmp_path / "specs.json"
+        spec_path.write_text(json.dumps([FAMILY_SPECS[family]]))
+        args = ("table", "--specs", str(spec_path))
+    code, out, err = run_cli(capsys, *args, "--budget", "-1")
+    assert (code, out, err) == (2, "", "error: budget must be nonnegative, got -1\n")
+    code, out, err = run_cli(capsys, *args, "--i-max", "-1", "--budget", "-1")
+    assert (code, out, err) == (2, "", "error: instance bounds must be nonnegative\n")
+
+
 def test_table_leaves_a_huge_d_uncertified(tmp_path, capsys):
     spec_path = tmp_path / "specs.json"
     spec_path.write_text(json.dumps([{"family": "A", "N": 15013, "r_yes": 0, "r_no": 1}]))

@@ -25,6 +25,7 @@ from qfa_exact import (
 )
 from qfa_exact.dfa import _accepting_mask, _search, build_min_dfa, claimed_size
 from qfa_exact.promise import _witness_counts
+from qfa_exact.words import _Lasso
 
 
 def naive_final_state(dfa, word):
@@ -180,6 +181,81 @@ def test_a_long_tail_is_held_once_per_queried_state():
     assert set(table) == {0, 250, 499, *range(tail, tail + cycle)}
     assert [len(table[state][0]) for state in (0, 250, 499)] == [500, 250, 1]
     assert dfa.final_state_of(10**12) == closed_form(0, 10**12)
+
+
+def _first_repeat(position):
+    """(tail, period) of a walk whose next position depends only on its
+    current one, given as a function of the step count: read off its
+    first repeated position."""
+    seen = {}
+    n = 0
+    while (at := position(n)) not in seen:
+        seen[at] = n
+        n += 1
+    return seen[at], n - seen[at]
+
+
+def _stepped(lasso, counts):
+    """The positions after 0, 1, ..., counts - 1 steps along `lasso`, one
+    step at a time."""
+    positions = [0]
+    for _ in range(counts - 1):
+        after = positions[-1] + 1
+        positions.append(after if after < lasso.tail + lasso.period else lasso.tail)
+    return positions
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_lasso_index_equals_stepping_through_delta(seed):
+    # every orbit of a random table is the lasso of its tail and cycle
+    # lengths: its index reads the orbit's path, counts past the tail
+    # reduced around the cycle
+    rng = random.Random(seed)
+    m = rng.randint(1, 9)
+    alphabet = ("a", "b")[: rng.randint(1, 2)]
+    delta = tuple(tuple(rng.randrange(m) for _ in alphabet) for _ in range(m))
+    dfa = Dfa(m, alphabet, delta, 0, frozenset())
+    for x in range(m):
+        for k in range(len(alphabet)):
+            tail, cycle, offset = dfa._orbit(x, k)
+            path = [*tail, *cycle[offset:], *cycle[:offset]]
+            lasso = _Lasso((len(tail), len(cycle)))
+            assert _first_repeat(lambda n: path[lasso.index(n)]) == lasso
+            state = x
+            for n in range(3 * m + 3):
+                assert path[lasso.index(n)] == state, (delta, x, k, n)
+                state = delta[state][k]
+            for n in (10**12, 10**12 + 1, 10**12 + 7):
+                assert path[lasso.index(n)] == dfa._advance(x, k, n)
+
+
+def test_lasso_along_equals_stepping():
+    # the walk in k of the count lowest + k * step, stepped one count at
+    # a time: `along` gives its exact tail and period, and its index the
+    # position; a step of 0 stands still
+    for tail, period in product(range(6), range(1, 7)):
+        lasso = _Lasso((tail, period))
+        stepped = _stepped(lasso, 200)
+        assert [lasso.index(n) for n in range(200)] == stepped
+        for lowest, step in product(range(8), range(9)):
+            along = lasso.along(lowest, step)
+            assert along == _first_repeat(lambda k: stepped[lowest + k * step]), (lasso, lowest, step)
+            for k in range(along.tail + 2 * along.period + 2):
+                assert stepped[lowest + along.index(k) * step] == stepped[lowest + k * step]
+    assert _Lasso((3, 4)).along(2, 0) == _Lasso((0, 7)).along(0, 0) == (0, 1)
+
+
+def test_lasso_join_is_commutative_and_associative_with_a_still_identity():
+    lassos = [_Lasso((tail, period)) for tail in range(4) for period in range(1, 7)]
+    still = _Lasso((0, 1))
+    for a in lassos:
+        assert a.join(still) == still.join(a) == a
+        for b in lassos:
+            assert a.join(b) == b.join(a)
+            # the pair of positions of both walks, taken in step
+            assert a.join(b) == _first_repeat(lambda n: (a.index(n), b.index(n))), (a, b)
+            for c in lassos:
+                assert a.join(b).join(c) == a.join(b.join(c))
 
 
 def test_replace_starts_with_an_empty_orbit_cache():
@@ -444,6 +520,20 @@ def test_certify_unary_budget_error_is_explicit():
         certify_minimality_unary(7, 3, budget=10)
 
 
+def test_certify_refuses_a_negative_budget_after_its_bounds():
+    for certify, args in (
+        (certify_minimality_unary, (7, 3)),
+        (certify_minimality_binary, (BinaryPromiseSpec(4),)),
+        (certify_minimality_binary, (BinaryPromiseSpec(2, 5),)),
+    ):
+        with pytest.raises(ValueError, match="budget must be nonnegative, got -1"):
+            certify(*args, budget=-1)
+        with pytest.raises(ValueError, match="bound"):
+            certify(*args, -1, budget=-1)
+    with pytest.raises(EnumerationBudgetError):
+        certify_minimality_binary(BinaryPromiseSpec(1), budget=0)
+
+
 def test_certify_budget_admits_exactly_its_count():
     assert certify_minimality_unary(7, 3, budget=642).machines_checked == 642
     with pytest.raises(EnumerationBudgetError):
@@ -560,12 +650,19 @@ def test_certify_binary_equals_the_per_witness_oracle_under_weak_witnesses():
     assert (checked, refuted) == (800, 132)
 
 
-def _cut_bounds(d):
-    # the bounds past which the class reduction draws no new witness
+def _cut_bounds(spec):
+    # the bounds past which the class reduction draws no new witness:
+    # T + L - 1 along i, and along j the last j of the lasso in j of the
+    # b-count l + jN, whose tail is the first j with l + jN >= T; and the
+    # 2L - 1 that once bounded j
+    d, _ = claimed_size(spec)
     tail, cycle = d - 2, lcm(*range(1, d))
+    N = spec.N or 0
+    j_tail = 0 if not N or spec.l >= tail else -(-(tail - spec.l) // N)
+    j_period = cycle // gcd(N, cycle) if N else 1
     cuts_i = [tail + cycle - 1, tail + cycle, tail + cycle + 1]
-    cuts_j = [2 * cycle - 1, 2 * cycle, 2 * cycle + 1]
-    return [(0, 0), (1, 0), (2, 1), (64, 8)] + list(product(cuts_i, cuts_j))
+    cuts_j = {max(0, j_tail + j_period + k) for k in (-2, -1, 0)} | {2 * cycle - 1, 2 * cycle, 2 * cycle + 1}
+    return [(0, 0), (1, 0), (2, 1), (64, 8)] + list(product(cuts_i, sorted(cuts_j)))
 
 
 @pytest.mark.parametrize(
@@ -582,8 +679,7 @@ def _cut_bounds(d):
     ],
 )
 def test_certify_binary_equals_the_per_witness_oracle_at_the_cut_points(spec):
-    d, _ = claimed_size(spec)
-    for bounds in _cut_bounds(d):
+    for bounds in _cut_bounds(spec):
         cert = certify_minimality_binary(spec, *bounds)
         assert cert.to_dict() == reference_certify_binary(spec, *bounds).to_dict(), bounds
 

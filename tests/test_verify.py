@@ -33,7 +33,7 @@ from qfa_exact.dfa import build_min_dfa
 from qfa_exact.promise import DEFAULT_I_MAX, DEFAULT_J_MAX, _witness_columns, _witness_symbols
 from qfa_exact.synth import build_for
 from qfa_exact.verify import _check_alphabets, _sweep
-from qfa_exact.words import as_runs
+from qfa_exact.words import _Lasso, as_runs
 
 
 def test_verify_exactness_passes_for_matching_machine():
@@ -150,6 +150,17 @@ def test_separation_refuses_a_negative_bound_whatever_the_family_and_budget(spec
         separation_row(spec, *bounds, **options)
     with pytest.raises(ValueError, match="instance bounds must be nonnegative"):
         separation_table([spec], *bounds, **options)
+
+
+@pytest.mark.parametrize(
+    "spec", [UnaryPromiseSpec(7, 0, 3), BinaryPromiseSpec(4), BinaryPromiseSpec(2, 5)], ids=["A", "B", "BN"]
+)
+def test_separation_refuses_a_negative_budget_after_a_negative_bound(spec):
+    with pytest.raises(ValueError, match="budget must be nonnegative, got -1"):
+        separation_row(spec, certify_budget=-1)
+    with pytest.raises(ValueError, match="instance bounds must be nonnegative"):
+        separation_row(spec, -1, certify_budget=-1)
+    assert not separation_row(spec, certify_budget=0).dfa_certified
 
 
 def test_separation_table_thread_pool_keeps_order():
@@ -616,6 +627,28 @@ def test_cut_reaches_a_b_tail_off_the_a_cycle(cuts):
         assert cuts[-1][1] == 3
         assert {state for _, state in sides[1]} == ({1, 2, 4, 5, 6} if i_max else {2, 4, 5, 6})
         assert sides == _key_sets(machine, spec, i_max, j_max, dfa)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_lasso_last_meets_every_pair_met_up_to_the_bound(seed):
+    # a class key counting mod D (tail 0) and a DFA state along a random
+    # orbit, taken in step: the counts up to the `last` of their join
+    # meet every (key, state) pair that the counts up to the bound meet
+    rng = random.Random(seed)
+    m = rng.randint(1, 9)
+    delta = tuple((rng.randrange(m),) for _ in range(m))
+    dfa = Dfa(m, ("a",), delta, 0, frozenset())
+    for x in range(m):
+        tail, cycle, offset = dfa._orbit(x, 0)
+        path = [*tail, *cycle[offset:], *cycle[:offset]]
+        state = _Lasso((len(tail), len(cycle)))
+        for D in range(1, 9):
+            key = _Lasso((0, D))
+            joined = key.join(state)
+            for bound in range(3 * (joined.tail + joined.period)):
+                met = {(n % D, path[state.index(n)]) for n in range(bound + 1)}
+                assert met == {(n % D, path[state.index(n)]) for n in range(joined.last(bound) + 1)}
+                assert {path[state.index(n)] for n in range(state.last(bound) + 1)} == {pair[1] for pair in met}
 
 
 def _every_built_spec():
