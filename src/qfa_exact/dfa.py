@@ -15,10 +15,9 @@ from math import lcm
 
 from .promise import (
     BinaryPromiseSpec,
-    Classification,
     UnaryPromiseSpec,
     _check_bounds,
-    _witness_counts,
+    _witness_columns,
     family_of,
     spec_to_dict,
 )
@@ -446,12 +445,15 @@ def certify_minimality_unary(
 
     Every unary DFA's reachable part is a tail of k states feeding a
     cycle of t states, so machines are enumerated as (k, t) splits of
-    each size m < d together with every accepting subset. The default
-    i_max = 2d + 2 walks past any tail and around any cycle at least
-    once. A larger i_max adds no new (state, label) pair: a witness with
-    i >= 1 is at least N >= d symbols long, past any tail, so its end
-    state repeats in i with the cycle's period t < d. So witnesses past
-    i = 2d + 2 are not drawn, and `witness_bounds` still reports i_max.
+    each size m < d together with every accepting subset. The witnesses
+    are drawn from `promise._witness_columns` up to i = min(i_max, d - 2),
+    and `witness_bounds` still reports i_max (2d + 2 by default): past
+    d - 2 no new (state, label) pair comes. A split has k + t < d. A
+    witness with i >= 1 is at least N >= d > k symbols long, so it ends
+    on the cycle, in a state that repeats in i with a period dividing t.
+    With k >= 1, t <= d - 2 and the witnesses up to i = t meet every
+    pair; with k = 0 every witness ends on the cycle, and those up to
+    i = t - 1 <= d - 2 do. The binary walk's tail is d - 2 as well.
     The accepting subsets of each split are resolved in closed form: a
     subset works iff it holds every yes-witness state and no no-witness
     state, so the first one in enumeration order is the union of the
@@ -466,8 +468,9 @@ def certify_minimality_unary(
         raise ValueError("witness bound must be nonnegative")
     spec = UnaryPromiseSpec(N, 0, l)
     _check_budget((m * 2**m for m in range(1, d)), budget, d)
-    drawn = min(i_max, 2 * d + 2) + 1
-    counts, labels = [i * N + r for i in range(drawn) for r in (0, l)], (True, False) * drawn
+    yes, no = _witness_columns(spec, min(i_max, d - 2), 0)
+    # each yes-count next to its no-count, so a clash shows early
+    counts, labels = [n for pair in zip(*yes, *no) for n in pair], (True, False) * len(yes[0])
 
     def candidates():
         # state i steps to i + 1 and the last one back to state `tail`,
@@ -488,7 +491,7 @@ def certify_minimality_binary(
 ) -> MinimalityCertificate:
     """Certify the binary size formulas by full enumeration: every
     transition table, start state, and accepting subset with fewer than
-    d states is judged on the witnesses from enumerate_instances.
+    d states is judged on the witnesses of `promise._witness_columns`.
 
     The witnesses are read as classes, not words. Below d states, one
     symbol leads any state through a tail of at most T = d - 2 states
@@ -497,8 +500,8 @@ def certify_minimality_binary(
     a^walk.index(i) b^walk.index(m) does, in every candidate. Past
     `walk.last(i_max)` along i, and past `walk.along(l, N).last(j_max)`
     along j, where the b-count i + l + jN has passed T, each (a-class,
-    b-class, label) triple repeats one met before. So the witnesses are
-    drawn up to those bounds and each triple is kept once.
+    b-class, label) triple repeats one met before. So the witnesses of
+    each side are drawn up to those bounds, and each triple is kept once.
 
     The accepting subsets of each (table, start) are resolved in closed
     form as in `certify_minimality_unary`, which depends neither on the
@@ -527,9 +530,10 @@ def certify_minimality_binary(
     walk = _Lasso((d - 2, lcm(*range(1, d))))
     length = walk.tail + walk.period
     j_walk = walk.along(spec.l, spec.N or 0)  # `B` witnesses have no j
-    witnesses = _witness_counts(spec, walk.last(i_max), j_walk.last(j_max))
+    sides = _witness_columns(spec, walk.last(i_max), j_walk.last(j_max))
     triples = dict.fromkeys(
-        (walk.index(n_a), walk.index(n_b), label is Classification.YES) for (n_a, n_b), label in witnesses
+        (walk.index(n_a), walk.index(n_b), is_yes)
+        for columns, is_yes in zip(sides, (True, False)) for n_a, n_b in zip(*columns)
     )
     # the first yes- and no-witness, a^0 b^0 and b^l, whatever the bounds
     words = ((), (("b", spec.l),))

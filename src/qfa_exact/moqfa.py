@@ -240,7 +240,6 @@ class Moqfa:
     angle: AngleSpec | None = None
     _powers: dict = field(init=False, default_factory=dict, repr=False)
     _turns: dict | None = field(init=False, default=None, repr=False)
-    _unit: tuple = field(init=False, default=(), repr=False)
     _start: tuple = field(init=False, default=(), repr=False)
     _empty_word: tuple | None = field(init=False, default=None, repr=False)
 
@@ -264,12 +263,10 @@ class Moqfa:
 
     def _closed_form_turns(self) -> dict | None:
         """{symbol: +1 or -1} when each symbol matrix is the angle's turn
-        (+1) or its transpose (-1), entry for entry; else None. Keeps the
-        angle's (cos, sin) as `_unit` for `check_orthogonality`."""
+        (+1) or its transpose (-1), entry for entry; else None."""
         if self.angle is None or self.dim < 2:
             return None
         c, s = self.angle.cos_sin(1)
-        object.__setattr__(self, "_unit", (c, s))
         # the rows of turn(dim, c, s) and turn(dim, c, -s)
         fixed, pad = identity(self.dim)[:-2], (0.0,) * (self.dim - 2)
         forward = fixed + ((*pad, c, -s), (*pad, s, c))
@@ -408,10 +405,13 @@ class Moqfa:
         # each symbol matrix is turn(dim, c, +-s) entry for entry, so its
         # Gram deviations are 0 off the turned plane's diagonal (the
         # products c*s cancel exactly) and |c*c + s*s - 1| on it, the same
-        # two products summed in either order
-        c, s = self._unit
-        symbols = [abs(c * c + s * s - 1)] if self._turns else []
-        return _worst(markers + symbols)
+        # two products summed in either order, read off the last row
+        # (..., +-s, c) of any one: (-s) * (-s) == s * s holds exactly
+        if self._turns:
+            row = next(iter(self._u_sym.values()))[-1]
+            c, s = row[-1], row[-2]
+            markers.append(abs(c * c + s * s - 1))
+        return _worst(markers)
 
     def check_period(self) -> float:
         """Worst deviation of u^D from the identity over the per-symbol

@@ -111,7 +111,9 @@ def _witness_columns(spec, i_max: int = DEFAULT_I_MAX, j_max: int = DEFAULT_J_MA
     k-th word of a side counts column[k] of each symbol. `A` has one
     column per side, the lengths r + iN for its residue r; `B` and `BN`
     have the a-counts i and the b-counts i + s, over the shifts s (0 on
-    the yes-side, l or l + jN on the no-side)."""
+    the yes-side, l or l + jN on the no-side). The one witness form: the
+    sweeps and both certificates read it, and `enumerate_instances`
+    sorts it into words."""
     family = _grid_family(spec, i_max, j_max)
     if family == "A":
         return tuple((range(r, r + (i_max + 1) * spec.N, spec.N),) for r in (spec.r_yes, spec.r_no))
@@ -150,20 +152,6 @@ def _witness_steps(spec) -> tuple:
     return (1, 1), (0, 0 if family == "B" else spec.N)
 
 
-def _witness_counts(spec, i_max: int = DEFAULT_I_MAX, j_max: int = DEFAULT_J_MAX) -> list:
-    """List (counts, label) for every witness in `enumerate_instances`
-    order: the words of `_witness_columns`, each a tuple of counts,
-    sorted by length and then by their last count, so that a-heavy words
-    come before b-heavy ones of equal length."""
-    witnesses = [
-        (counts, label)
-        for columns, label in zip(_witness_columns(spec, i_max, j_max), (Classification.YES, Classification.NO))
-        for counts in zip(*columns)
-    ]
-    witnesses.sort(key=lambda witness: (sum(witness[0]), witness[0][-1]))
-    return witnesses
-
-
 def _witness_symbols(spec, alphabet) -> tuple:
     """The symbols that the counts of `_witness_columns` count, read over
     `alphabet`: its first symbol for `A`, since a unary word names none."""
@@ -177,7 +165,13 @@ def enumerate_instances(spec, i_max: int = DEFAULT_I_MAX, j_max: int = DEFAULT_J
     pairs. Sorted by word length, ties broken lexicographically; every
     word is a yes- or no-instance, never outside.
     """
-    witnesses = _witness_counts(spec, i_max, j_max)
+    witnesses = [
+        (counts, label)
+        for columns, label in zip(_witness_columns(spec, i_max, j_max), (Classification.YES, Classification.NO))
+        for counts in zip(*columns)
+    ]
+    # by length, then by the last count: a-heavy words before b-heavy ones
+    witnesses.sort(key=lambda witness: (sum(witness[0]), witness[0][-1]))
     if isinstance(spec, UnaryPromiseSpec):
         return [(n, label) for (n,), label in witnesses]
     return [(tuple([run for run in zip("ab", counts) if run[1]]), label) for counts, label in witnesses]

@@ -14,6 +14,7 @@ from .dfa import (
     DEFAULT_ENUMERATION_BUDGET,
     Dfa,
     EnumerationBudgetError,
+    _check_budget,
     certify_minimality_binary,
     certify_minimality_unary,
     claimed_size,
@@ -225,11 +226,15 @@ def separation_table(
     certify_budget: int | None = DEFAULT_ENUMERATION_BUDGET,
     threads: int = 1,
 ) -> list[SeparationRow]:
-    """One row per spec, in input order.
+    """One row per spec, in input order. A negative witness bound, then a
+    negative budget, raises ValueError as `separation_row` does, even
+    with no spec; a budget of 0 or None turns certification off.
 
     `threads` is accepted and ignored: the rows are GIL-bound pure Python,
     and worker threads measured slower than one.
     """
+    _check_bounds(i_max, j_max)
+    _check_budget((), certify_budget or 0, 0)  # only its sign: 0 and None turn certification off
     return [separation_row(spec, i_max, j_max, certify_budget) for spec in specs]
 
 

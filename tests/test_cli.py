@@ -513,6 +513,19 @@ def test_negative_budget_exit_code(tmp_path, capsys, family, command):
     assert (code, out, err) == (2, "", "error: instance bounds must be nonnegative\n")
 
 
+def test_empty_table_negative_budget_exit_code(tmp_path, capsys):
+    # an empty spec list is refused as a full one is, before its header
+    spec_path = tmp_path / "specs.json"
+    spec_path.write_text("[]")
+    code, out, err = run_cli(capsys, "table", "--specs", str(spec_path), "--budget", "-1")
+    assert (code, out, err) == (2, "", "error: budget must be nonnegative, got -1\n")
+    code, out, err = run_cli(capsys, "table", "--specs", str(spec_path), "--i-max", "-1", "--budget", "-1")
+    assert (code, out, err) == (2, "", "error: instance bounds must be nonnegative\n")
+    for budget in ("0", "5"):
+        code, out, err = run_cli(capsys, "table", "--specs", str(spec_path), "--budget", budget)
+        assert (code, out.splitlines(), err) == (0, ["family,N,l,r1,r2,qfa_states,dfa_states,dfa_certified"], "")
+
+
 def test_table_leaves_a_huge_d_uncertified(tmp_path, capsys):
     spec_path = tmp_path / "specs.json"
     spec_path.write_text(json.dumps([{"family": "A", "N": 15013, "r_yes": 0, "r_no": 1}]))

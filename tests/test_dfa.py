@@ -24,7 +24,6 @@ from qfa_exact import (
     smallest_nondivisor,
 )
 from qfa_exact.dfa import _accepting_mask, _search, build_min_dfa, claimed_size
-from qfa_exact.promise import _witness_counts
 from qfa_exact.words import _Lasso
 
 
@@ -484,6 +483,22 @@ def test_certify_unary_past_the_witness_cut_equals_the_literal_enumeration(N, l)
         assert cert.to_dict() == {**certify_minimality_unary(N, l).to_dict(), "witness_bounds": [i_max, None]}
 
 
+@pytest.mark.parametrize("N,l", [(6, 3), (15, 5), (7, 3), (12, 9), (16, 12)])
+def test_certify_unary_around_the_witness_cut_equals_the_literal_enumeration(N, l):
+    # witnesses past i = d - 2 are not drawn; the literal search draws
+    # every one up to i_max, just below, at and just past the cut
+    d = smallest_modulus(N, l)
+    for i_max in (d - 3, d - 2, d - 1, 2 * d + 2):
+        if i_max < 0:
+            continue
+        cert = certify_minimality_unary(N, l, i_max)
+        checked, survivor = literal_certify_unary(N, l, i_max)
+        assert cert.witness_bounds == (i_max, None)
+        assert (cert.machines_checked, cert.certified) == (checked, survivor is None), i_max
+        if survivor is not None:
+            assert cert.counterexample.to_dict() == survivor.to_dict()
+
+
 def test_certify_unary_takes_a_huge_witness_bound_in_constant_space():
     start = time.perf_counter()
     cert = certify_minimality_unary(7, 3, i_max=10**12)
@@ -602,10 +617,13 @@ def test_certify_binary_matches_literal_enumeration(spec, i_max, j_max):
 def reference_certify_binary(spec, i_max=64, j_max=8):
     """Oracle for the class reduction in `certify_minimality_binary`:
     the same search over every witness word, one `Dfa` per transition
-    table, each word run through the DFA's orbit cache."""
+    table, each word run through the DFA's orbit cache. The words come
+    from the public `enumerate_instances`, not the certificate's own
+    witness columns."""
     d, _ = claimed_size(spec)
     witnesses = [
-        (counts, label is Classification.YES) for counts, label in _witness_counts(spec, i_max, j_max)
+        ((dict(word).get("a", 0), dict(word).get("b", 0)), label is Classification.YES)
+        for word, label in enumerate_instances(spec, i_max, j_max)
     ]
     words = tuple(word for word, _ in enumerate_instances(spec, 0, 0))
 

@@ -163,6 +163,16 @@ def test_separation_refuses_a_negative_budget_after_a_negative_bound(spec):
     assert not separation_row(spec, certify_budget=0).dfa_certified
 
 
+def test_an_empty_separation_table_refuses_a_negative_bound_then_a_negative_budget():
+    with pytest.raises(ValueError, match="budget must be nonnegative, got -1"):
+        separation_table([], certify_budget=-1)
+    for bounds in [(-1, 8), (64, -1)]:
+        for budget in (-1, 0, None, 10**6):
+            with pytest.raises(ValueError, match="instance bounds must be nonnegative"):
+                separation_table([], *bounds, certify_budget=budget)
+    assert separation_table([], certify_budget=0) == separation_table([], certify_budget=None) == []
+
+
 def test_separation_table_thread_pool_keeps_order():
     specs = [UnaryPromiseSpec(N, 0, 1) for N in (3, 5, 7, 11, 13)]
     serial = separation_table(specs, certify_budget=None)
