@@ -160,17 +160,20 @@ class Dfa:
             a_cycle = a_cycle[a_offset:] + a_cycle[:a_offset]
         else:  # the check of the alphabets has left only i = 0
             a_tail, a_cycle = (), [self.start]
-        # along i: the a-orbit, and the b-orbit of each state on its cycle
-        i_axis = self._joined(_Lasso((len(a_tail), len(a_cycle))), a_cycle, b_index, i_max, 0, 1)
+        # along i: the a-orbit, and the b-orbit of each state on its cycle,
+        # whose lasso is its shape, since the b-count steps by 1
+        i_axis = self._joined(_Lasso((len(a_tail), len(a_cycle))), a_cycle, b_index, i_max, _Lasso)
         if spec.N is None:  # `B` witnesses have no j
             return i_axis, _STILL
         # along j: the b-orbit of each state that some a^i reaches
         reached = islice(chain(a_tail, a_cycle), i_max + 1)
-        return i_axis, self._joined(_STILL, reached, b_index, j_max, spec.l, spec.N)
+        return i_axis, self._joined(
+            _STILL, reached, b_index, j_max, lambda shape: _Lasso(shape).along(spec.l, spec.N)
+        )
 
-    def _joined(self, axis: _Lasso, states, sym_index: int, bound: int, lowest: int, step: int) -> _Lasso:
-        """`axis` joined with the lasso along (lowest, step) of the orbit of
-        each of `states`, once per orbit shape, until it closes past `bound`:
+    def _joined(self, axis: _Lasso, states, sym_index: int, bound: int, lasso_of) -> _Lasso:
+        """`axis` joined with `lasso_of` the shape (tail, cycle) of the orbit
+        of each of `states`, once per shape, until it closes past `bound`:
         the orbits read are then among those that a sweep up to it reads."""
         shapes = set()
         for x in states:
@@ -180,7 +183,7 @@ class Dfa:
             shape = len(tail), len(cycle)
             if shape not in shapes:
                 shapes.add(shape)
-                axis = axis.join(_Lasso(shape).along(lowest, step))
+                axis = axis.join(lasso_of(shape))
         return axis
 
     def final_state_of(self, word) -> int:
@@ -407,22 +410,29 @@ def _accepting_mask(ends) -> int | None:
     return yes_mask
 
 
-def _search(spec, claimed_d, witness_bounds, alphabet, candidates, words) -> MinimalityCertificate:
-    """Count the accepting subsets of each (delta, start, mask) candidate
-    up to the first that works, as trying them one by one would: all
-    2^m of them when `mask` is None (the candidate is refuted), else
-    mask + 1, where `mask` is the candidate's yes-state mask from
-    `_accepting_mask`, the first subset that classifies every witness."""
+def _search(spec, claimed_d, witness_bounds, alphabet, sizes, words) -> MinimalityCertificate:
+    """Count the machines tried up to the first that works, as trying
+    them one by one would. `sizes` gives per machine size a pair
+    (refuted, candidates): `refuted` machines, all refuted, counted at
+    once, then the (delta, start, mask) candidates in turn, each counting
+    the accepting subsets up to the first that works: all 2^m of them
+    when `mask` is None (the candidate is refuted), else mask + 1, where
+    `mask` is the candidate's yes-state mask from `_accepting_mask`, the
+    first subset that classifies every witness."""
     checked = 0
     counterexample = None
-    for delta, start, mask in candidates:
-        if mask is None:
-            checked += 1 << len(delta)
-            continue
-        checked += mask + 1
-        m = len(delta)
-        counterexample = Dfa(m, alphabet, delta, start, frozenset(i for i in range(m) if mask >> i & 1))
-        break
+    for refuted, candidates in sizes:
+        checked += refuted
+        for delta, start, mask in candidates:
+            if mask is None:
+                checked += 1 << len(delta)
+                continue
+            checked += mask + 1
+            m = len(delta)
+            counterexample = Dfa(m, alphabet, delta, start, frozenset(i for i in range(m) if mask >> i & 1))
+            break
+        if counterexample is not None:
+            break
     return MinimalityCertificate(
         spec=spec,
         claimed_d=claimed_d,
@@ -480,7 +490,84 @@ def certify_minimality_unary(
                 delta = tuple((i + 1,) for i in range(m - 1)) + ((tail,),)
                 yield delta, 0, _accepting_mask(zip(map(_Lasso((tail, m - tail)).index, counts), labels))
 
-    return _search(spec, d, (i_max, None), ("a",), candidates(), (0, l))
+    return _search(spec, d, (i_max, None), ("a",), [(0, candidates())], (0, l))
+
+
+def _judged_sizes(d: int, length: int, lanes):
+    """Per machine size m < d, the (refuted, candidates) pair of `_search`
+    for the binary (table, start) candidates of m states, judged on the
+    words a^(a-class) b^(b-class) of the witness triples, both classes
+    below `length`: `lanes` holds per a-class the bitsets of the
+    b-classes of its yes- and of its no-triples.
+
+    The verdicts are read off bitsets over (state x, b-class) pairs, bit
+    x * length + b_class, built once per size from walks of `length`
+    steps for every column of targets: per b-column, one set per end
+    state e of the pairs whose b-walk from x ends at e; per a-column and
+    start, a yes-set and a no-set of the pairs (state after a^(a-class),
+    b-class) of the triples. A candidate is refuted iff some end state's
+    set meets both its yes- and its no-set; otherwise its yes-state mask
+    holds the end states whose set meets its yes-set.
+
+    So a verdict depends only on the b-column and on the (yes-set,
+    no-set) pair of the a-column and start. Each size interns those pairs
+    as classes and judges each (b-column, class) once. A size with no
+    verdict but "refuted" counts its m^(2m) * m * 2^m machines at once;
+    otherwise its tables are walked in enumeration order, reading the
+    verdicts, up to the first candidate that works."""
+    for m in range(1, d):
+        states = range(m)
+        # for a symbol with targets `column`: ends[column] holds
+        # (1 << e, the pairs whose walk ends at e) per end state e, and
+        # classes[column] the class of each start, its index in `pairs`,
+        # the distinct (yes-set, no-set) of the pairs (state after
+        # a^(a-class) from start, b-class) of the triples
+        ends, classes, pairs = {}, {}, {}
+        for column in product(states, repeat=m):
+            bits = [0] * m
+            classes[column] = per_start = []
+            for x in states:
+                # the first `length` states visited from x
+                path = [x]
+                for _ in range(length - 1):
+                    path.append(column[path[-1]])
+                for b_class, e in enumerate(path):
+                    bits[e] |= 1 << (x * length + b_class)
+                yes = no = 0
+                for a_class, (yes_b, no_b) in lanes:
+                    shift = path[a_class] * length
+                    yes |= yes_b << shift
+                    no |= no_b << shift
+                per_start.append(pairs.setdefault((yes, no), len(pairs)))
+            ends[column] = [(1 << e, end_bits) for e, end_bits in enumerate(bits)]
+        # verdicts[b_column][class]: the yes-state mask, or None (refuted)
+        # once an end state's set meets both of the class's sets
+        verdicts = {}
+        works = False
+        for b_column, b_ends in ends.items():
+            verdicts[b_column] = row = []
+            for yes, no in pairs:
+                mask = 0
+                for e_bit, end_bits in b_ends:
+                    if end_bits & yes:
+                        if end_bits & no:
+                            mask = None
+                            break
+                        mask |= e_bit
+                row.append(mask)
+                works |= mask is not None
+        if not works:
+            yield m ** (2 * m) * m * 2**m, ()
+            continue
+        # rows in the order of product(states, repeat=2 * m) over the flat
+        # table a_0 b_0 a_1 b_1 ...; some candidate works, so `_search`
+        # stops in this walk, before the next size rebinds its tables
+        yield 0, (
+            (delta, start, verdicts[b_column][k])
+            for delta in product(tuple(product(states, repeat=2)), repeat=m)
+            for a_column, b_column in [zip(*delta)]
+            for start, k in enumerate(classes[a_column])
+        )
 
 
 def certify_minimality_binary(
@@ -509,16 +596,15 @@ def certify_minimality_binary(
     verdict, counterexample and machine count that every witness word,
     and checking subsets one by one, would give.
 
-    Both are read off bitsets over (state x, b-class) pairs, one bit
-    x * (T + L) + b_class each, built once per size m from walks of
-    T + L steps for every column of targets: per b-column, one set per
-    end state e of the pairs whose b-walk from x ends at e; per a-column
-    and start, a yes-set and a no-set of the pairs (state after
-    a^(a-class), b-class) of the triples. A candidate is refuted iff some
-    end state's set meets both its yes- and its no-set; otherwise its
-    yes-state mask holds the end states whose set meets its yes-set. So
-    each candidate costs a few integer operations per end state, with no
-    walk over the witnesses and no `Dfa` built per transition table.
+    `_judged_sizes` judges the triples with bitsets over (state, b-class)
+    pairs, and judges each class of candidates once, not each candidate:
+    a verdict depends only on the table's b-column and on the (yes-set,
+    no-set) pair that its a-column and start give the triples. At d = 4,
+    m = 3 that is 27 b-columns x 33 such pairs in place of 2 187
+    candidates. A size whose verdicts are all "refuted" counts its
+    machines at once, and a size where some candidate works is walked in
+    enumeration order, so the count and the counterexample are those of
+    judging every candidate in turn.
 
     Candidate counts explode as m^(2m); the default budget admits d <= 4
     and anything larger raises EnumerationBudgetError up front, once the
@@ -528,57 +614,14 @@ def certify_minimality_binary(
     d, _ = claimed_size(spec)
     _check_budget((m ** (2 * m) * m * 2**m for m in range(1, d)), budget, d)
     walk = _Lasso((d - 2, lcm(*range(1, d))))
-    length = walk.tail + walk.period
     j_walk = walk.along(spec.l, spec.N or 0)  # `B` witnesses have no j
-    sides = _witness_columns(spec, walk.last(i_max), j_walk.last(j_max))
-    triples = dict.fromkeys(
-        (walk.index(n_a), walk.index(n_b), is_yes)
-        for columns, is_yes in zip(sides, (True, False)) for n_a, n_b in zip(*columns)
-    )
+    # per a-class of the triples, the bitsets of the b-classes of its
+    # yes-triples and of its no-triples
+    lanes = defaultdict(lambda: [0, 0])
+    for side, columns in enumerate(_witness_columns(spec, walk.last(i_max), j_walk.last(j_max))):
+        for n_a, n_b in zip(*columns):
+            lanes[walk.index(n_a)][side] |= 1 << walk.index(n_b)
     # the first yes- and no-witness, a^0 b^0 and b^l, whatever the bounds
     words = ((), (("b", spec.l),))
-
-    def candidates():
-        for m in range(1, d):
-            states = range(m)
-            # for a symbol with targets `column`: ends[column] holds
-            # (1 << e, the pairs whose walk ends at e) per end state e,
-            # and sides[column] (start, yes-set, no-set), the pairs
-            # (state after a^(a-class) from start, b-class) of the triples
-            ends, sides = {}, {}
-            for column in product(states, repeat=m):
-                bits = [0] * m
-                sides[column] = per_start = []
-                for x in states:
-                    # the first T + L states visited from x
-                    path = [x]
-                    for _ in range(length - 1):
-                        path.append(column[path[-1]])
-                    for b_class, e in enumerate(path):
-                        bits[e] |= 1 << (x * length + b_class)
-                    yes = no = 0
-                    for a_class, b_class, is_yes in triples:
-                        bit = 1 << (path[a_class] * length + b_class)
-                        if is_yes:
-                            yes |= bit
-                        else:
-                            no |= bit
-                    per_start.append((x, yes, no))
-                ends[column] = [(1 << e, end_bits) for e, end_bits in enumerate(bits)]
-            # rows in the order of product(states, repeat=2 * m) over the
-            # flat table a_0 b_0 a_1 b_1 ...
-            for delta in product(tuple(product(states, repeat=2)), repeat=m):
-                a_column, b_column = zip(*delta)
-                b_ends = ends[b_column]
-                for start, yes, no in sides[a_column]:
-                    # None (refuted) once an end state meets both sets
-                    mask = 0
-                    for e_bit, end_bits in b_ends:
-                        if end_bits & yes:
-                            if end_bits & no:
-                                mask = None
-                                break
-                            mask |= e_bit
-                    yield delta, start, mask
-
-    return _search(spec, d, (i_max, j_max), ("a", "b"), candidates(), words)
+    sizes = _judged_sizes(d, walk.tail + walk.period, list(lanes.items()))
+    return _search(spec, d, (i_max, j_max), ("a", "b"), sizes, words)

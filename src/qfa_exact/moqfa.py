@@ -339,12 +339,15 @@ class Moqfa:
             return _STILL
         if self.angle is None:
             return None
-        circle = _Lasso((0, self.angle.D))
+        D = self.angle.D
         turns = self._turns
         if turns is None:
             # `reduced_runs` reduces each count mod D on its own
+            circle = _Lasso((0, D))
             return reduce(_Lasso.join, [circle.along(0, step) for step in steps])
-        return circle.along(0, sum([turns.get(sym, 0) * step for sym, step in zip(symbols, steps)]) % self.angle.D)
+        turn = sum([turns.get(sym, 0) * step for sym, step in zip(symbols, steps)]) % D
+        # a built machine's turns cancel along every witness line
+        return _Lasso((0, D)).along(0, turn) if turn else _STILL
 
     def final_state(self, word):
         """State vector after left-marker, word, right-marker on basis state

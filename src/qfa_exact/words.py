@@ -172,6 +172,10 @@ class _Lasso(tuple):
 
     def join(self, other: "_Lasso") -> "_Lasso":
         """The lasso of the pair of positions of two walks taken in step."""
+        if other is _STILL:
+            return self
+        if self is _STILL:
+            return other
         (tail, period), (other_tail, other_period) = self, other
         return _Lasso((max(tail, other_tail), math.lcm(period, other_period)))
 

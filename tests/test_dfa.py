@@ -23,8 +23,8 @@ from qfa_exact import (
     smallest_modulus_alt,
     smallest_nondivisor,
 )
-from qfa_exact.dfa import _accepting_mask, _search, build_min_dfa, claimed_size
-from qfa_exact.words import _Lasso
+from qfa_exact.dfa import _accepting_mask, _judged_sizes, _search, build_min_dfa, claimed_size
+from qfa_exact.words import _STILL, _Lasso
 
 
 def naive_final_state(dfa, word):
@@ -249,6 +249,7 @@ def test_lasso_join_is_commutative_and_associative_with_a_still_identity():
     still = _Lasso((0, 1))
     for a in lassos:
         assert a.join(still) == still.join(a) == a
+        assert a.join(_STILL) is a and _STILL.join(a) is a
         for b in lassos:
             assert a.join(b) == b.join(a)
             # the pair of positions of both walks, taken in step
@@ -638,7 +639,43 @@ def reference_certify_binary(spec, i_max=64, j_max=8):
                         for (n_a, n_b), is_yes in witnesses
                     )
 
-    return _search(spec, d, (i_max, j_max), ("a", "b"), candidates(), words)
+    return _search(spec, d, (i_max, j_max), ("a", "b"), [(0, candidates())], words)
+
+
+def test_judged_sizes_equal_judging_each_candidate_on_random_triples():
+    # a spec's yes-witnesses a^i b^i meet every a-class of its no-side,
+    # so there the yes-set alone fixes the no-set of a (table, start);
+    # random triples do not, so a class must be the (yes-set, no-set)
+    # pair. The triples stand for the words a^(a-class) b^(b-class)
+    d = 4
+    length = d - 2 + lcm(*range(1, d))
+    spec = BinaryPromiseSpec(2, 4)  # only a label in the records compared
+    outcomes = set()
+    for seed in range(24):
+        rng = random.Random(seed)
+        triples = {
+            (rng.randrange(length), rng.randrange(length), rng.random() < 0.5) for _ in range(rng.randint(2, 8))
+        }
+        lanes = {}
+        for a_class, b_class, is_yes in triples:
+            lanes.setdefault(a_class, [0, 0])[not is_yes] |= 1 << b_class
+
+        def candidates():
+            for m in range(1, d):
+                for flat in product(range(m), repeat=2 * m):
+                    dfa = Dfa(m, ("a", "b"), zip(flat[::2], flat[1::2]), 0, ())
+                    advance = dfa._advance
+                    for start in range(m):
+                        yield dfa.delta, start, _accepting_mask(
+                            (advance(advance(start, 0, n_a), 1, n_b), is_yes) for n_a, n_b, is_yes in triples
+                        )
+
+        expected = _search(spec, d, (0, 0), ("a", "b"), [(0, candidates())], ()).to_dict()
+        judged = _search(spec, d, (0, 0), ("a", "b"), _judged_sizes(d, length, list(lanes.items())), ())
+        assert judged.to_dict() == expected, triples
+        outcomes.add(judged.counterexample and judged.counterexample.num_states)
+    # certified (every size refuted at once), and a smaller DFA of each size
+    assert outcomes == {None, 1, 2, 3}
 
 
 def test_certify_binary_equals_the_per_witness_oracle_on_every_in_budget_spec():
@@ -707,6 +744,16 @@ def test_certify_binary_d5_equals_the_per_witness_oracle(spec):
     cert = certify_minimality_binary(spec, budget=5 * 10**6)
     assert cert.claimed_d == 5
     assert cert.to_dict() == reference_certify_binary(spec).to_dict()
+
+
+@pytest.mark.parametrize("spec", [BinaryPromiseSpec(12), BinaryPromiseSpec(2, 5)])
+@pytest.mark.parametrize("bounds", [(64, 0), (0, 0), (1, 0), (2, 1)])
+def test_certify_binary_d5_equals_the_per_witness_oracle_under_weak_witnesses(spec, bounds):
+    # (64, 8) is the test above. Here every pair but `B` l=12 at (64, 0)
+    # finds a smaller DFA, with 2, 3 or 4 states, so the walk in
+    # enumeration order runs after sizes refuted in bulk
+    cert = certify_minimality_binary(spec, *bounds, budget=5 * 10**6)
+    assert cert.to_dict() == reference_certify_binary(spec, *bounds).to_dict()
 
 
 def test_certify_binary_counterexamples_under_weak_witnesses():

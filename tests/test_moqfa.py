@@ -19,7 +19,9 @@ from qfa_exact import (
     enumerate_instances,
 )
 from qfa_exact.moqfa import _as_rows, _gram_off_identity, _Rows, identity, matmul, turn
+from qfa_exact.promise import _witness_steps, _witness_symbols
 from qfa_exact.synth import build_for
+from qfa_exact.words import _STILL
 
 DATA = Path(__file__).parent / "data"
 
@@ -434,6 +436,20 @@ def test_check_orthogonality_equals_the_generic_gram_on_random_matrices(dim):
         if entry is not None:
             assert math.isnan(worst) if math.isnan(entry) else not math.isfinite(worst)
     assert closed_form >= 200
+
+
+def test_a_built_machine_has_no_class_lasso_along_its_witness_lines():
+    # a built machine's turns cancel along every witness line, so each
+    # class lasso there is `_STILL` itself; a line on which the turns do
+    # not cancel, or a machine off the closed form, cycles mod D
+    for spec in (UnaryPromiseSpec(15, 0, 5), BinaryPromiseSpec(4), BinaryPromiseSpec(5, 13)):
+        machine = build_for(spec)[0]
+        symbols = _witness_symbols(spec, machine.alphabet)
+        for steps in _witness_steps(spec):
+            assert machine._class_lasso(symbols, steps) is _STILL, (spec, steps)
+    machine = build_binary_Nl(13, 5)
+    assert machine._class_lasso(("a", "b"), (1, 0)) == (0, 13)
+    assert _one_ulp_off(machine)._class_lasso(("a", "b"), (1, 1)) == (0, 13)
 
 
 def test_an_infinite_entry_beside_a_zero_gives_a_nan_deviation():
