@@ -16,12 +16,11 @@ import sys
 from .dfa import (
     DEFAULT_ENUMERATION_BUDGET,
     EnumerationBudgetError,
+    _certify,
     build_min_dfa,
-    certify_minimality_binary,
-    certify_minimality_unary,
     claimed_size,
 )
-from .promise import DEFAULT_I_MAX, DEFAULT_J_MAX, FAMILIES, _check_bounds, family_of, spec_from_dict
+from .promise import DEFAULT_I_MAX, DEFAULT_J_MAX, FAMILIES, _check_bounds, spec_from_dict
 from .verify import separation_table, write_separation_csv
 from .words import dump_json, load_json
 
@@ -115,15 +114,7 @@ def cmd_dfa(args):
 
 def cmd_certify(args):
     _check_bounds(args.i_max, args.j_max)  # every family's, before any budget
-    spec = _spec_from_args(args)
-    if family_of(spec) == "A":
-        certificate = certify_minimality_unary(
-            spec.N, spec.gap, i_max=args.i_max, budget=args.budget
-        )
-    else:
-        certificate = certify_minimality_binary(
-            spec, args.i_max, args.j_max, budget=args.budget
-        )
+    certificate = _certify(_spec_from_args(args), args.i_max, args.j_max, args.budget)
     if args.format == "json":
         text = dump_json({**certificate.to_dict(), "budget": args.budget, "seed": args.seed})
     else:

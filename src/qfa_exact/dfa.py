@@ -18,6 +18,7 @@ from .promise import (
     UnaryPromiseSpec,
     _check_bounds,
     _witness_columns,
+    enumerate_instances,
     family_of,
     spec_to_dict,
 )
@@ -410,7 +411,7 @@ def _accepting_mask(ends) -> int | None:
     return yes_mask
 
 
-def _search(spec, claimed_d, witness_bounds, alphabet, sizes, words) -> MinimalityCertificate:
+def _search(spec, claimed_d, witness_bounds, alphabet, sizes) -> MinimalityCertificate:
     """Count the machines tried up to the first that works, as trying
     them one by one would. `sizes` gives per machine size a pair
     (refuted, candidates): `refuted` machines, all refuted, counted at
@@ -418,7 +419,9 @@ def _search(spec, claimed_d, witness_bounds, alphabet, sizes, words) -> Minimali
     the accepting subsets up to the first that works: all 2^m of them
     when `mask` is None (the candidate is refuted), else mask + 1, where
     `mask` is the candidate's yes-state mask from `_accepting_mask`, the
-    first subset that classifies every witness."""
+    first subset that classifies every witness. A counterexample is
+    reported with the first yes- and no-witness of `spec`, the words of
+    `enumerate_instances` at i = j = 0, which it separates."""
     checked = 0
     counterexample = None
     for refuted, candidates in sizes:
@@ -440,7 +443,9 @@ def _search(spec, claimed_d, witness_bounds, alphabet, sizes, words) -> Minimali
         machines_checked=checked,
         certified=counterexample is None,
         counterexample=counterexample,
-        counterexample_words=None if counterexample is None else words,
+        counterexample_words=None
+        if counterexample is None
+        else tuple(word for word, _ in enumerate_instances(spec, 0, 0)),
     )
 
 
@@ -469,13 +474,13 @@ def certify_minimality_unary(
     state, so the first one in enumeration order is the union of the
     yes-witness states, and none works when a state ends both kinds. The
     reported machine count is identical to checking subsets one by one.
-    A negative witness bound, then a negative budget, raises ValueError.
+    A negative witness bound, then a negative budget, raises ValueError,
+    the bound with the message of `promise._check_bounds`.
     """
     d = smallest_modulus(N, l)
     if i_max is None:
         i_max = 2 * d + 2
-    if i_max < 0:
-        raise ValueError("witness bound must be nonnegative")
+    _check_bounds(i_max, 0)
     spec = UnaryPromiseSpec(N, 0, l)
     _check_budget((m * 2**m for m in range(1, d)), budget, d)
     yes, no = _witness_columns(spec, min(i_max, d - 2), 0)
@@ -490,7 +495,7 @@ def certify_minimality_unary(
                 delta = tuple((i + 1,) for i in range(m - 1)) + ((tail,),)
                 yield delta, 0, _accepting_mask(zip(map(_Lasso((tail, m - tail)).index, counts), labels))
 
-    return _search(spec, d, (i_max, None), ("a",), [(0, candidates())], (0, l))
+    return _search(spec, d, (i_max, None), ("a",), [(0, candidates())])
 
 
 def _judged_sizes(d: int, length: int, lanes):
@@ -621,7 +626,14 @@ def certify_minimality_binary(
     for side, columns in enumerate(_witness_columns(spec, walk.last(i_max), j_walk.last(j_max))):
         for n_a, n_b in zip(*columns):
             lanes[walk.index(n_a)][side] |= 1 << walk.index(n_b)
-    # the first yes- and no-witness, a^0 b^0 and b^l, whatever the bounds
-    words = ((), (("b", spec.l),))
     sizes = _judged_sizes(d, walk.tail + walk.period, list(lanes.items()))
-    return _search(spec, d, (i_max, j_max), ("a", "b"), sizes, words)
+    return _search(spec, d, (i_max, j_max), ("a", "b"), sizes)
+
+
+def _certify(spec, i_max: int | None, j_max: int, budget: int) -> MinimalityCertificate:
+    """The minimality certificate of any promise spec: an `A` spec is
+    certified on its offset form (N, gap), at witness bound i_max (None:
+    its default 2d + 2), a `B` or `BN` spec at (i_max, j_max)."""
+    if family_of(spec) == "A":
+        return certify_minimality_unary(spec.N, spec.gap, i_max, budget)
+    return certify_minimality_binary(spec, i_max, j_max, budget)

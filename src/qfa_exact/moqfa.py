@@ -223,12 +223,11 @@ class Moqfa:
     Machines are immutable. Construction keeps the start vector (basis
     state 0 after the left marker); the only other internal state is the
     closed form's memo of (final state, acceptance probability) by t,
-    whose keys `angle.D` bounds, with the empty word's pair (t = 0) kept
-    apart and made on first use. Concurrent runs at worst recompute an
-    entry. Other machines keep no memo. The memo is not an init field, so
-    `dataclasses.replace` starts the copy with an empty one. A
-    probability more than PROBABILITY_TOLERANCE outside [0, 1] raises
-    ValueError.
+    whose keys `angle.D` bounds, the empty word's t = 0 among them.
+    Concurrent runs at worst recompute an entry. Other machines keep no
+    memo. The memo is not an init field, so `dataclasses.replace` starts
+    the copy with an empty one. A probability more than
+    PROBABILITY_TOLERANCE outside [0, 1] raises ValueError.
     """
 
     dim: int
@@ -241,7 +240,6 @@ class Moqfa:
     _powers: dict = field(init=False, default_factory=dict, repr=False)
     _turns: dict | None = field(init=False, default=None, repr=False)
     _start: tuple = field(init=False, default=(), repr=False)
-    _empty_word: tuple | None = field(init=False, default=None, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "alphabet", tuple(self.alphabet))
@@ -366,13 +364,6 @@ class Moqfa:
                 state = apply(_power(self._u_sym[sym], count), state)
             state = apply(self._u_right, state)
             return state, self._measure(state)
-        if not key:
-            final = self._empty_word
-            if final is None:
-                state = apply(self._u_right, self._start)
-                final = (state, self._measure(state))
-                object.__setattr__(self, "_empty_word", final)
-            return final
         final = self._powers.get(key)
         if final is None:
             c, s = self.angle.cos_sin(key)

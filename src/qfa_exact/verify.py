@@ -14,9 +14,8 @@ from .dfa import (
     DEFAULT_ENUMERATION_BUDGET,
     Dfa,
     EnumerationBudgetError,
+    _certify,
     _check_budget,
-    certify_minimality_binary,
-    certify_minimality_unary,
     claimed_size,
 )
 from .promise import (
@@ -200,19 +199,17 @@ def separation_row(
     certify_budget: int | None = DEFAULT_ENUMERATION_BUDGET,
 ) -> SeparationRow:
     """Compute one table row; certification misses the budget quietly
-    (dfa_certified stays False) rather than failing the row. A negative
-    witness bound raises ValueError whatever the family and the budget."""
+    (dfa_certified stays False) rather than failing the row. An `A` row
+    certifies on the unary certificate's own bound 2d + 2, not on
+    `i_max`. A negative witness bound raises ValueError whatever the
+    family and the budget."""
     _check_bounds(i_max, j_max)
     dfa_states, _ = claimed_size(spec)
     family = family_of(spec)
     certified = False
     if certify_budget:
         try:
-            if family == "A":
-                certificate = certify_minimality_unary(spec.N, spec.gap, budget=certify_budget)
-            else:
-                certificate = certify_minimality_binary(spec, i_max, j_max, budget=certify_budget)
-            certified = certificate.certified
+            certified = _certify(spec, None if family == "A" else i_max, j_max, certify_budget).certified
         except EnumerationBudgetError:
             pass
     qfa_states = 2 if family == "B" else 3

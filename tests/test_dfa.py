@@ -23,8 +23,9 @@ from qfa_exact import (
     smallest_modulus_alt,
     smallest_nondivisor,
 )
-from qfa_exact.dfa import _accepting_mask, _judged_sizes, _search, build_min_dfa, claimed_size
+from qfa_exact.dfa import _accepting_mask, _certify, _judged_sizes, _search, build_min_dfa, claimed_size
 from qfa_exact.words import _STILL, _Lasso
+from spec_grids import grid_specs
 
 
 def naive_final_state(dfa, word):
@@ -615,31 +616,33 @@ def test_certify_binary_matches_literal_enumeration(spec, i_max, j_max):
         assert cert.counterexample_words == words
 
 
+def per_witness_candidates(d, witnesses):
+    """The (delta, start, mask) candidates of `_search` for every binary
+    (table, start) below d states, in enumeration order, each judged on
+    every (a-count, b-count, is_yes) witness in turn: one `Dfa` per
+    transition table, each word of a^(a-count) b^(b-count) run through
+    the DFA's orbit cache."""
+    for m in range(1, d):
+        for flat in product(range(m), repeat=2 * m):
+            dfa = Dfa(m, ("a", "b"), zip(flat[::2], flat[1::2]), 0, ())
+            advance = dfa._advance
+            for start in range(m):
+                yield dfa.delta, start, _accepting_mask(
+                    (advance(advance(start, 0, n_a), 1, n_b), is_yes) for n_a, n_b, is_yes in witnesses
+                )
+
+
 def reference_certify_binary(spec, i_max=64, j_max=8):
     """Oracle for the class reduction in `certify_minimality_binary`:
-    the same search over every witness word, one `Dfa` per transition
-    table, each word run through the DFA's orbit cache. The words come
-    from the public `enumerate_instances`, not the certificate's own
-    witness columns."""
+    the same search over every witness word. The words come from the
+    public `enumerate_instances`, not the certificate's own witness
+    columns."""
     d, _ = claimed_size(spec)
     witnesses = [
-        ((dict(word).get("a", 0), dict(word).get("b", 0)), label is Classification.YES)
+        (dict(word).get("a", 0), dict(word).get("b", 0), label is Classification.YES)
         for word, label in enumerate_instances(spec, i_max, j_max)
     ]
-    words = tuple(word for word, _ in enumerate_instances(spec, 0, 0))
-
-    def candidates():
-        for m in range(1, d):
-            for flat in product(range(m), repeat=2 * m):
-                dfa = Dfa(m, ("a", "b"), zip(flat[::2], flat[1::2]), 0, ())
-                advance = dfa._advance
-                for start in range(m):
-                    yield dfa.delta, start, _accepting_mask(
-                        (advance(advance(start, 0, n_a), 1, n_b), is_yes)
-                        for (n_a, n_b), is_yes in witnesses
-                    )
-
-    return _search(spec, d, (i_max, j_max), ("a", "b"), [(0, candidates())], words)
+    return _search(spec, d, (i_max, j_max), ("a", "b"), [(0, per_witness_candidates(d, witnesses))])
 
 
 def test_judged_sizes_equal_judging_each_candidate_on_random_triples():
@@ -659,49 +662,42 @@ def test_judged_sizes_equal_judging_each_candidate_on_random_triples():
         lanes = {}
         for a_class, b_class, is_yes in triples:
             lanes.setdefault(a_class, [0, 0])[not is_yes] |= 1 << b_class
-
-        def candidates():
-            for m in range(1, d):
-                for flat in product(range(m), repeat=2 * m):
-                    dfa = Dfa(m, ("a", "b"), zip(flat[::2], flat[1::2]), 0, ())
-                    advance = dfa._advance
-                    for start in range(m):
-                        yield dfa.delta, start, _accepting_mask(
-                            (advance(advance(start, 0, n_a), 1, n_b), is_yes) for n_a, n_b, is_yes in triples
-                        )
-
-        expected = _search(spec, d, (0, 0), ("a", "b"), [(0, candidates())], ()).to_dict()
-        judged = _search(spec, d, (0, 0), ("a", "b"), _judged_sizes(d, length, list(lanes.items())), ())
+        expected = _search(spec, d, (0, 0), ("a", "b"), [(0, per_witness_candidates(d, triples))]).to_dict()
+        judged = _search(spec, d, (0, 0), ("a", "b"), _judged_sizes(d, length, list(lanes.items())))
         assert judged.to_dict() == expected, triples
         outcomes.add(judged.counterexample and judged.counterexample.num_states)
     # certified (every size refuted at once), and a smaller DFA of each size
     assert outcomes == {None, 1, 2, 3}
 
 
+# every binary spec with l <= 60 (`B`) or N <= 24 (`BN`) that the
+# default budget certifies: those with d <= 4
+IN_BUDGET_BINARY_SPECS = [
+    spec
+    for spec in [BinaryPromiseSpec(l) for l in range(1, 61)]
+    + [BinaryPromiseSpec(l, N) for N in range(2, 25) for l in range(1, N)]
+    if claimed_size(spec)[0] <= 4
+]
+
+
 def test_certify_binary_equals_the_per_witness_oracle_on_every_in_budget_spec():
-    specs = [BinaryPromiseSpec(l) for l in range(1, 61)]
-    specs += [BinaryPromiseSpec(l, N) for N in range(2, 25) for l in range(1, N)]
     checked = 0
-    for spec in specs:
-        if claimed_size(spec)[0] <= 4:
-            assert certify_minimality_binary(spec).to_dict() == reference_certify_binary(spec).to_dict(), spec
-            checked += 1
+    for spec in IN_BUDGET_BINARY_SPECS:
+        assert certify_minimality_binary(spec).to_dict() == reference_certify_binary(spec).to_dict(), spec
+        checked += 1
     assert checked == 200
 
 
 def test_certify_binary_equals_the_per_witness_oracle_under_weak_witnesses():
     # low bounds leave many specs with a smaller DFA that separates every
     # witness, so this pins which candidate is found first and its count
-    specs = [BinaryPromiseSpec(l) for l in range(1, 61)]
-    specs += [BinaryPromiseSpec(l, N) for N in range(2, 25) for l in range(1, N)]
     checked = refuted = 0
-    for spec in specs:
-        if claimed_size(spec)[0] <= 4:
-            for bounds in [(0, 0), (1, 0), (2, 1), (3, 2)]:
-                cert = certify_minimality_binary(spec, *bounds)
-                assert cert.to_dict() == reference_certify_binary(spec, *bounds).to_dict(), (spec, bounds)
-                checked += 1
-                refuted += not cert.certified
+    for spec in IN_BUDGET_BINARY_SPECS:
+        for bounds in [(0, 0), (1, 0), (2, 1), (3, 2)]:
+            cert = certify_minimality_binary(spec, *bounds)
+            assert cert.to_dict() == reference_certify_binary(spec, *bounds).to_dict(), (spec, bounds)
+            checked += 1
+            refuted += not cert.certified
     assert (checked, refuted) == (800, 132)
 
 
@@ -785,6 +781,31 @@ def test_certify_binary_budget_error():
 def test_certify_binary_checks_its_bounds_before_its_budget(spec, bounds):
     with pytest.raises(ValueError, match="instance bounds must be nonnegative"):
         certify_minimality_binary(spec, *bounds)
+
+
+def _outcome(certify, *args):
+    """A certificate's `to_dict()`, or the message of its budget refusal."""
+    try:
+        return certify(*args).to_dict()
+    except EnumerationBudgetError as exc:
+        return str(exc)
+
+
+def test_one_path_gives_each_family_its_certificate():
+    # an `A` spec is certified on its offset form (N, gap), `B` and `BN`
+    # specs as they are; the budget refuses `B` l=12 and most `BN` specs
+    count = 0
+    for spec in grid_specs(12, 12, 12):
+        for i_max, j_max in [(0, 0), (1, 1), (64, 8), (None, 8)]:
+            if isinstance(spec, UnaryPromiseSpec):
+                expected = _outcome(certify_minimality_unary, spec.N, spec.gap, i_max, 10**6)
+            elif i_max is None:
+                continue
+            else:
+                expected = _outcome(certify_minimality_binary, spec, i_max, j_max, 10**6)
+            assert _outcome(_certify, spec, i_max, j_max, 10**6) == expected, (spec, i_max)
+            count += 1
+    assert count == 4 * 572 + 3 * (12 + 66)
 
 
 def test_certificate_serialization():

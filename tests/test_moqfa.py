@@ -22,6 +22,7 @@ from qfa_exact.moqfa import _as_rows, _gram_off_identity, _Rows, identity, matmu
 from qfa_exact.promise import _witness_steps, _witness_symbols
 from qfa_exact.synth import build_for
 from qfa_exact.words import _STILL
+from spec_grids import grid_specs
 
 DATA = Path(__file__).parent / "data"
 
@@ -260,7 +261,7 @@ def test_power_memo_only_for_machines_with_an_angle():
         raw.accept_probability(n)
         base.accept_probability(n)
     assert raw._powers == {}
-    assert len(base._powers) == 6  # one entry per nonzero residue mod 7
+    assert len(base._powers) == 7  # one entry per residue mod 7
 
 
 def test_reduced_runs_drop_whole_periods():
@@ -459,25 +460,10 @@ def test_an_infinite_entry_beside_a_zero_gives_a_nan_deviation():
     assert math.isnan(reference_orthogonality(machine))
 
 
-def _grid_specs(a_max, b_max, bn_max):
-    """The spec of every built machine for A with N <= a_max (all residue
-    pairs), B with l <= b_max and BN with N <= bn_max."""
-    for N in range(2, a_max + 1):
-        for r_yes in range(N):
-            for r_no in range(N):
-                if r_yes != r_no:
-                    yield UnaryPromiseSpec(N, r_yes, r_no)
-    for l in range(1, b_max + 1):
-        yield BinaryPromiseSpec(l)
-    for N in range(2, bn_max + 1):
-        for l in range(1, N):
-            yield BinaryPromiseSpec(l, N)
-
-
 def _grid_machines():
     """Every built machine for A with N <= 25 (all residue pairs), B with
     l <= 60 and BN with N <= 40."""
-    for spec in _grid_specs(25, 60, 40):
+    for spec in grid_specs(25, 60, 40):
         yield build_for(spec)[0]
 
 
@@ -501,7 +487,7 @@ def test_every_built_machine_and_its_json_clone_agree_bit_for_bit():
     bounds) and on three words with i near 10**12. No probability among
     them raises."""
     count = 0
-    for spec in _grid_specs(40, 32, 30):
+    for spec in grid_specs(40, 32, 30):
         machine = build_for(spec)[0]
         clone = Moqfa.from_json(machine.to_json(indent=None))
         assert machine._turns is not None and clone._turns == machine._turns

@@ -34,6 +34,7 @@ from qfa_exact.promise import DEFAULT_I_MAX, DEFAULT_J_MAX, _witness_columns, _w
 from qfa_exact.synth import build_for
 from qfa_exact.verify import _check_alphabets, _sweep
 from qfa_exact.words import _Lasso, as_runs
+from spec_grids import grid_specs
 
 
 def test_verify_exactness_passes_for_matching_machine():
@@ -340,16 +341,13 @@ def _relabelled(machine):
 def _built_machines():
     """Every built machine for A with N <= 25 (all residue pairs), B with
     l <= 20 and BN with N <= 20, with its spec."""
-    for N in range(2, 26):
-        for r_yes in range(N):
-            for r_no in range(N):
-                if r_yes != r_no:
-                    yield build_unary_general(N, r_yes, r_no), UnaryPromiseSpec(N, r_yes, r_no)
-    for l in range(1, 21):
-        yield build_binary_l(l), BinaryPromiseSpec(l)
-    for N in range(2, 21):
-        for l in range(1, N):
-            yield build_binary_Nl(N, l), BinaryPromiseSpec(l, N)
+    for spec in grid_specs(25, 20, 20):
+        if isinstance(spec, UnaryPromiseSpec):
+            yield build_unary_general(spec.N, spec.r_yes, spec.r_no), spec
+        elif spec.N is None:
+            yield build_binary_l(spec.l), spec
+        else:
+            yield build_binary_Nl(spec.N, spec.l), spec
 
 
 def _assert_sweeps_equal_per_word_evaluation(machine, spec):
@@ -661,27 +659,12 @@ def test_lasso_last_meets_every_pair_met_up_to_the_bound(seed):
                 assert {path[state.index(n)] for n in range(state.last(bound) + 1)} == {pair[1] for pair in met}
 
 
-def _every_built_spec():
-    """`A` with N <= 60 (every residue pair), `B` with l <= 32 and `BN`
-    with N <= 40."""
-    for N in range(2, 61):
-        for r_yes in range(N):
-            for r_no in range(N):
-                if r_yes != r_no:
-                    yield UnaryPromiseSpec(N, r_yes, r_no)
-    for l in range(1, 33):
-        yield BinaryPromiseSpec(l)
-    for N in range(2, 41):
-        for l in range(1, N):
-            yield BinaryPromiseSpec(l, N)
-
-
 def test_every_built_machine_sweeps_one_class_per_side(cuts):
     # a built machine's class key has period 1 along both indices, so its
     # sweep reads one witness per side at any bounds, and against the
     # minimal DFA it still meets one class key per side; a check of those
     # keys covers the whole infinite promise
-    for spec in _every_built_spec():
+    for spec in grid_specs(60, 32, 40):
         machine = build_for(spec)[0]
         sides = _sweep(machine, spec, DEFAULT_I_MAX, DEFAULT_J_MAX)
         assert (cuts[-1], [len(side) for side in sides]) == ((0, 0), [1, 1]), spec
