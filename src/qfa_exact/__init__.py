@@ -2,6 +2,9 @@
 problems, their minimal classical counterparts, and the verification
 harness that pins the quantum-vs-classical state-count separation.
 
+`arith` holds the integer arithmetic of both state counts on the
+standard library alone.
+
 The quantum side (`moqfa`, `synth`) loads on first use of one of its
 names. No module imports numpy: machines are built, loaded and run in
 plain Python, and numpy loads only when a caller reads an ndarray view
@@ -10,6 +13,7 @@ of a machine (`Moqfa.u_left`, `u_sym`, `u_right`, `Moqfa.final_state`,
 
 import importlib
 
+from .arith import smallest_modulus, smallest_modulus_alt, smallest_nondivisor
 from .dfa import (
     Dfa,
     EnumerationBudgetError,
@@ -19,9 +23,6 @@ from .dfa import (
     certify_minimality_binary,
     certify_minimality_unary,
     run_dfa,
-    smallest_modulus,
-    smallest_modulus_alt,
-    smallest_nondivisor,
 )
 from .promise import (
     BinaryPromiseSpec,

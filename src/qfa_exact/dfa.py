@@ -2,17 +2,19 @@
 
 The classical solvers are cycle counters: a d-state cycle solves the
 unary family when d divides N but not l, and the same d drives the
-two-letter up/down counter for the binary families. The certificates
-re-prove minimality by enumerating every smaller machine and watching
-each one misclassify some promise instance.
+two-letter up/down counter for the binary families. The sizes d come
+from `arith` (`claimed_size` names the formula per family). The
+certificates re-prove minimality by enumerating every smaller machine
+and watching each one misclassify some promise instance.
 """
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from functools import lru_cache
 from itertools import chain, islice, product
 from math import lcm
 
+# all three are read off `dfa` too, so they stay bound here
+from .arith import smallest_modulus, smallest_modulus_alt, smallest_nondivisor
 from .promise import (
     BinaryPromiseSpec,
     UnaryPromiseSpec,
@@ -229,71 +231,6 @@ class Dfa:
 
 def run_dfa(dfa: Dfa, word) -> bool:
     return dfa.accepts(word)
-
-
-def smallest_modulus(N: int, l: int) -> int:
-    """Smallest d >= 2 dividing N but not l; the unary minimal-DFA size.
-
-    Always exists: d = N itself divides N and cannot divide 0 < l < N.
-    It is a prime power: the smallest p^(v_p(l) + 1) that divides N. So
-    trial division finds it, stopping once p passes the best candidate
-    or once p^2 passes what is left of N, which is then 1 or a prime P
-    with P^2 not dividing N, a candidate exactly when P does not divide l.
-    """
-    if not 0 < l < N:
-        raise ValueError(f"need 0 < l < N, got l={l}, N={N}")
-    best = rest = N
-    p = 2
-    while p * p <= rest and p < best:
-        if rest % p == 0:
-            power = p
-            while l % power == 0:
-                power *= p
-            while rest % p == 0:
-                rest //= p
-            if N % power == 0:
-                best = min(best, power)
-        p += 1 if p == 2 else 2
-    if 1 < rest < best and l % rest:
-        best = rest
-    return best
-
-
-def smallest_nondivisor(l: int) -> int:
-    """Smallest d >= 2 that does not divide l."""
-    if l < 1:
-        raise ValueError(f"need l >= 1, got {l}")
-    d = 2
-    while l % d == 0:
-        d += 1
-    return d
-
-
-@lru_cache(maxsize=512)
-def _reachable_offsets(N: int, d: int) -> bytes:
-    # 1 at the residues (-p*N) mod d over one full period of p; l hits one
-    # of these exactly when some p*N + l is divisible by d. One byte per
-    # residue, and the cache holds every d of one N up to 512, so a scan
-    # over l for one N builds each table once
-    hits = bytearray(d)
-    for p in range(d):
-        hits[(-p * N) % d] = 1
-    return bytes(hits)
-
-
-def smallest_modulus_alt(N: int, l: int) -> int:
-    """Smallest d >= 2 with p*N + l never divisible by d, by brute force.
-
-    Checking p over [0, d) suffices: (p*N + l) mod d is periodic in p
-    with period dividing d. Kept deliberately independent of
-    `smallest_modulus` so the two characterizations can be compared.
-    """
-    if not 0 < l < N:
-        raise ValueError(f"need 0 < l < N, got l={l}, N={N}")
-    d = 2
-    while _reachable_offsets(N, d)[l % d]:
-        d += 1
-    return d
 
 
 def claimed_size(spec) -> tuple[int, str]:

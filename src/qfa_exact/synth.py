@@ -3,7 +3,8 @@
 The recipe behind every builder: a two-state rotation machine returns
 the start state unchanged on yes-instances and tilts it by some fixed
 angle on no-instances. If the rotation step is chosen so the tilt's
-cosine p is nonpositive, one extra basis state turns that near-solver
+cosine p is nonpositive (`arith.angle_multiplier` picks its multiplier
+in integers), one extra basis state turns that near-solver
 into an exact one: seed the rotating plane with amplitudes (alpha, beta)
 satisfying alpha^2 + beta^2 = 1 and alpha^2 + p*beta^2 = 0, and
 no-instances land exactly orthogonal to the accepting state.
@@ -12,14 +13,11 @@ no-instances land exactly orthogonal to the accepting state.
 import math
 from dataclasses import dataclass
 
+from .arith import angle_multiplier
 from .moqfa import ORTHOGONALITY_TOLERANCE, AngleSpec, Moqfa, _Rows, identity
 from .promise import UnaryPromiseSpec, family_of
 
 LIFT_TOLERANCE = 1e-12
-
-_CASE_MID = "mid"
-_CASE_SMALL = "small_l"
-_CASE_LARGE = "large_l"
 
 
 @dataclass(frozen=True)
@@ -52,30 +50,13 @@ class LiftParameters:
 def select_angle(N: int, l: int) -> AngleSelection:
     """Pick a multiplier q with cos(l * 2*pi*q/N) <= 0, for 0 < l < N.
 
-    Three regimes, decided by exact integer comparison of 4l against N
-    and 3N:
-
-    * N/4 <= l <= 3N/4: q = 1 already works.
-    * l < N/4: q = ceil(N/(4l)) stretches the step until l*theta reaches
-      the second quadrant. The same ceiling is 1 once 4l >= N, so one
-      formula covers both regimes.
-    * l > 3N/4: take the first j >= 1 whose fractional part of
-      j(N-l)/l lies strictly between 1/4 and 2/3, then
-      q = floor((N/l)(j + 1/4)) + 1 wraps l*theta past enough full turns
-      to end up with a nonpositive cosine. That j is l // (4(N-l)) + 1:
-      the gap g = N - l is below l/3, so j*g climbs in steps narrower
-      than the window (l/4, 2l/3) and enters it before it first wraps
-      past l, at the first j with 4jg > l.
+    `arith.angle_multiplier` chooses q and its case tag by exact integer
+    comparison of 4l against N and 3N; the float cosine of the chosen
+    angle is checked here against LIFT_TOLERANCE.
     """
     if not 0 < l < N:
         raise ValueError(f"need 0 < l < N, got l={l}, N={N}")
-    if 4 * l <= 3 * N:
-        q = -(-N // (4 * l))
-        case = _CASE_SMALL if 4 * l < N else _CASE_MID
-    else:
-        j = l // (4 * (N - l)) + 1
-        q = (N * (4 * j + 1)) // (4 * l) + 1
-        case = _CASE_LARGE
+    q, case = angle_multiplier(N, l)
     p = AngleSpec(q, N).cos_sin(l)[0]
     if p > LIFT_TOLERANCE:
         raise RuntimeError(

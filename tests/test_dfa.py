@@ -22,8 +22,9 @@ from qfa_exact import (
     smallest_modulus,
     smallest_modulus_alt,
     smallest_nondivisor,
+    spec_to_dict,
 )
-from qfa_exact.dfa import _accepting_mask, _certify, _judged_sizes, _search, build_min_dfa, claimed_size
+from qfa_exact.dfa import _certify, _judged_sizes, _search, build_min_dfa, claimed_size
 from qfa_exact.words import _STILL, _Lasso
 from spec_grids import grid_specs
 
@@ -616,33 +617,95 @@ def test_certify_binary_matches_literal_enumeration(spec, i_max, j_max):
         assert cert.counterexample_words == words
 
 
-def per_witness_candidates(d, witnesses):
-    """The (delta, start, mask) candidates of `_search` for every binary
-    (table, start) below d states, in enumeration order, each judged on
-    every (a-count, b-count, is_yes) witness in turn: one `Dfa` per
-    transition table, each word of a^(a-count) b^(b-count) run through
-    the DFA's orbit cache."""
+def _column_walks(column):
+    """Per state x, the states visited from x along `column` (the targets
+    of one symbol) up to the first repeat, and the index of the first
+    state on the cycle that the repeat closes."""
+    walks = []
+    for x in range(len(column)):
+        path = [x]
+        while column[path[-1]] not in path:
+            path.append(column[path[-1]])
+        walks.append((path, path.index(column[path[-1]])))
+    return walks
+
+
+def _state_after(walk, n):
+    """The state after n steps along a walk of `_column_walks`."""
+    path, cycle_start = walk
+    if n < len(path):
+        return path[n]
+    return path[cycle_start + (n - cycle_start) % (len(path) - cycle_start)]
+
+
+def per_witness_search(spec, d, witness_bounds, witnesses, words):
+    """Oracle for the binary certificate search, on plain int tuples: the
+    `to_dict()` of judging every (table, start) below d states in
+    enumeration order on every (a-count, b-count, is_yes) witness.
+
+    A candidate works iff no state ends both a yes- and a no-witness.
+    Then the first accepting subset that works, in the order 0, 1, ...,
+    is the set of its yes-states, so the candidate counts that subset's
+    index + 1, and a refuted candidate counts all 2^m subsets. `words`
+    are the first yes- and no-word, reported with a counterexample."""
+    a_counts = sorted({n_a for n_a, _, _ in witnesses})
+    b_counts = sorted({n_b for _, n_b, _ in witnesses})
+    indexed = [(a_counts.index(n_a), b_counts.index(n_b), is_yes) for n_a, n_b, is_yes in witnesses]
+    record = {"spec": spec_to_dict(spec), "claimed_d": d, "witness_bounds": list(witness_bounds)}
+    checked = 0
     for m in range(1, d):
-        for flat in product(range(m), repeat=2 * m):
-            dfa = Dfa(m, ("a", "b"), zip(flat[::2], flat[1::2]), 0, ())
-            advance = dfa._advance
-            for start in range(m):
-                yield dfa.delta, start, _accepting_mask(
-                    (advance(advance(start, 0, n_a), 1, n_b), is_yes) for n_a, n_b, is_yes in witnesses
-                )
+        states = range(m)
+        # per column of targets and per state, the state after each count
+        after_a, after_b = {}, {}
+        for column in product(states, repeat=m):
+            walks = _column_walks(column)
+            after_a[column] = [[_state_after(walk, n) for n in a_counts] for walk in walks]
+            after_b[column] = [[_state_after(walk, n) for n in b_counts] for walk in walks]
+        for flat in product(states, repeat=2 * m):
+            a_column, b_column = flat[::2], flat[1::2]
+            ends = after_b[b_column]
+            for start, reached in enumerate(after_a[a_column]):
+                label = [None] * m
+                for k_a, k_b, is_yes in indexed:
+                    end = ends[reached[k_a]][k_b]
+                    if label[end] is None:
+                        label[end] = is_yes
+                    elif label[end] is not is_yes:
+                        checked += 2**m
+                        break
+                else:
+                    accepting = [x for x in states if label[x]]
+                    return {
+                        **record,
+                        "machines_checked": checked + sum(1 << x for x in accepting) + 1,
+                        "certified": False,
+                        "counterexample": {
+                            "states": m,
+                            "alphabet": ["a", "b"],
+                            "delta": [list(row) for row in zip(a_column, b_column)],
+                            "start": start,
+                            "accepting": accepting,
+                        },
+                        "counterexample_words": [list(word) for word in words],
+                    }
+    return {
+        **record, "machines_checked": checked, "certified": True, "counterexample": None, "counterexample_words": None
+    }
 
 
 def reference_certify_binary(spec, i_max=64, j_max=8):
-    """Oracle for the class reduction in `certify_minimality_binary`:
-    the same search over every witness word. The words come from the
-    public `enumerate_instances`, not the certificate's own witness
-    columns."""
-    d, _ = claimed_size(spec)
+    """Oracle for the class reduction in `certify_minimality_binary`: the
+    `to_dict()` of the same search over every witness word. The words
+    come from the public `enumerate_instances`, not the certificate's own
+    witness columns, and d from the scans above."""
+    d = brute_smallest_nondivisor(spec.l) if spec.N is None else brute_smallest_modulus(spec.N, spec.l)
+    instances = enumerate_instances(spec, i_max, j_max)
     witnesses = [
-        (dict(word).get("a", 0), dict(word).get("b", 0), label is Classification.YES)
-        for word, label in enumerate_instances(spec, i_max, j_max)
+        (dict(word).get("a", 0), dict(word).get("b", 0), label is Classification.YES) for word, label in instances
     ]
-    return _search(spec, d, (i_max, j_max), ("a", "b"), [(0, per_witness_candidates(d, witnesses))])
+    sides = Classification.YES, Classification.NO
+    words = [next(word for word, label in instances if label is side) for side in sides]
+    return per_witness_search(spec, d, (i_max, j_max), witnesses, words)
 
 
 def test_judged_sizes_equal_judging_each_candidate_on_random_triples():
@@ -653,6 +716,7 @@ def test_judged_sizes_equal_judging_each_candidate_on_random_triples():
     d = 4
     length = d - 2 + lcm(*range(1, d))
     spec = BinaryPromiseSpec(2, 4)  # only a label in the records compared
+    words = [word for word, _ in enumerate_instances(spec, 0, 0)]
     outcomes = set()
     for seed in range(24):
         rng = random.Random(seed)
@@ -662,7 +726,7 @@ def test_judged_sizes_equal_judging_each_candidate_on_random_triples():
         lanes = {}
         for a_class, b_class, is_yes in triples:
             lanes.setdefault(a_class, [0, 0])[not is_yes] |= 1 << b_class
-        expected = _search(spec, d, (0, 0), ("a", "b"), [(0, per_witness_candidates(d, triples))]).to_dict()
+        expected = per_witness_search(spec, d, (0, 0), triples, words)
         judged = _search(spec, d, (0, 0), ("a", "b"), _judged_sizes(d, length, list(lanes.items())))
         assert judged.to_dict() == expected, triples
         outcomes.add(judged.counterexample and judged.counterexample.num_states)
@@ -683,7 +747,7 @@ IN_BUDGET_BINARY_SPECS = [
 def test_certify_binary_equals_the_per_witness_oracle_on_every_in_budget_spec():
     checked = 0
     for spec in IN_BUDGET_BINARY_SPECS:
-        assert certify_minimality_binary(spec).to_dict() == reference_certify_binary(spec).to_dict(), spec
+        assert certify_minimality_binary(spec).to_dict() == reference_certify_binary(spec), spec
         checked += 1
     assert checked == 200
 
@@ -695,7 +759,7 @@ def test_certify_binary_equals_the_per_witness_oracle_under_weak_witnesses():
     for spec in IN_BUDGET_BINARY_SPECS:
         for bounds in [(0, 0), (1, 0), (2, 1), (3, 2)]:
             cert = certify_minimality_binary(spec, *bounds)
-            assert cert.to_dict() == reference_certify_binary(spec, *bounds).to_dict(), (spec, bounds)
+            assert cert.to_dict() == reference_certify_binary(spec, *bounds), (spec, bounds)
             checked += 1
             refuted += not cert.certified
     assert (checked, refuted) == (800, 132)
@@ -732,14 +796,14 @@ def _cut_bounds(spec):
 def test_certify_binary_equals_the_per_witness_oracle_at_the_cut_points(spec):
     for bounds in _cut_bounds(spec):
         cert = certify_minimality_binary(spec, *bounds)
-        assert cert.to_dict() == reference_certify_binary(spec, *bounds).to_dict(), bounds
+        assert cert.to_dict() == reference_certify_binary(spec, *bounds), bounds
 
 
 @pytest.mark.parametrize("spec", [BinaryPromiseSpec(12), BinaryPromiseSpec(2, 5)])
 def test_certify_binary_d5_equals_the_per_witness_oracle(spec):
     cert = certify_minimality_binary(spec, budget=5 * 10**6)
     assert cert.claimed_d == 5
-    assert cert.to_dict() == reference_certify_binary(spec).to_dict()
+    assert cert.to_dict() == reference_certify_binary(spec)
 
 
 @pytest.mark.parametrize("spec", [BinaryPromiseSpec(12), BinaryPromiseSpec(2, 5)])
@@ -749,7 +813,7 @@ def test_certify_binary_d5_equals_the_per_witness_oracle_under_weak_witnesses(sp
     # finds a smaller DFA, with 2, 3 or 4 states, so the walk in
     # enumeration order runs after sizes refuted in bulk
     cert = certify_minimality_binary(spec, *bounds, budget=5 * 10**6)
-    assert cert.to_dict() == reference_certify_binary(spec, *bounds).to_dict()
+    assert cert.to_dict() == reference_certify_binary(spec, *bounds)
 
 
 def test_certify_binary_counterexamples_under_weak_witnesses():
