@@ -63,7 +63,8 @@ CERTIFY_SPECS = [
 ]
 
 # exit 2: flags argparse refuses, specs the loader refuses, negative
-# bounds and budgets, and a missing spec file
+# bounds and budgets, missing spec and machine files, a malformed
+# machine file and a machine that drifts from unitarity
 USAGE_ERRORS = [
     ["certify", "--family", "B", "--l", "x"],
     ["certify", "--family", "B", "--l", "4", "--bogus"],
@@ -80,7 +81,14 @@ USAGE_ERRORS = [
     ["table", "--specs", SPECS, "--budget", "-1"],
     ["table", "--specs", SPECS, "--j-max", "-1"],
     ["table", "--specs", "tests/data/no_such_specs.json"],
+    ["run", "--machine", "tests/data/no_such_machine.json", "ab"],
+    ["run", "--machine", "tests/data/malformed_machine.json", "--length", "3"],
+    ["run", "--machine", "tests/data/drifting_machine.json", "--length", "1000000000005"],
 ]
+
+# the help of the top parser and of each subcommand (exit 0), which
+# prints the defaults of the bounds and the budget
+HELP = [["--help"]] + [[command, "--help"] for command in ("synth", "run", "dfa", "certify", "table")]
 
 COMMANDS = (
     [["dfa", *flags] for flags in DFA_SPECS]
@@ -90,7 +98,9 @@ COMMANDS = (
     + [["certify", *_flags("B", l=4, seed=7), "--format", "json"]]
     + [["table", "--specs", SPECS, *flags] for flags in ([], ["--budget", "0"], ["--i-max", "0"])]
     + [["run", "--machine", "tests/data/synth_B_l6.json", word] for word in ("aabb", "bbbbbb")]
+    + [["run", "--machine", "tests/data/synth_A_N8_r1_0_r2_2.json", "--length", n] for n in ("16", "10")]
     + USAGE_ERRORS
+    + HELP
 )
 
 

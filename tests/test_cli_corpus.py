@@ -16,7 +16,7 @@ RECORDS = json.loads(CORPUS.read_text(encoding="utf-8"))
 def test_the_corpus_holds_every_command_of_its_generator():
     assert [record["argv"] for record in RECORDS] == COMMANDS
     assert {record["exit"] for record in RECORDS} == {0, 2, 4, 5}
-    assert {record["argv"][0] for record in RECORDS} == {"synth", "run", "dfa", "certify", "table"}
+    assert {record["argv"][0] for record in RECORDS} == {"synth", "run", "dfa", "certify", "table", "--help"}
 
 
 def test_every_command_line_reprints_its_record(monkeypatch):
