@@ -8,20 +8,19 @@ Exit codes: 0 success, 2 bad usage or parameters, 3 internal synthesis
 failure, 4 a DFA below the claimed size classifies every witness up to
 the witness bounds (stderr names them; it refutes the size formula on
 those witnesses, not on the whole promise), 5 enumeration budget exceeded.
+
+At start-up the CLI loads only what the parser and the error handling
+read: `promise` (families, bound defaults, spec loading), `words` (JSON)
+and `arith` (the budget default and its error). Each command loads the
+module it runs on first call: `synth` and `moqfa` for synth, `moqfa`
+for run, `dfa` for dfa and certify, `dfa` and `verify` for table.
 """
 
 import argparse
 import sys
 
-from .dfa import (
-    DEFAULT_ENUMERATION_BUDGET,
-    EnumerationBudgetError,
-    _certify,
-    build_min_dfa,
-    claimed_size,
-)
+from .arith import DEFAULT_ENUMERATION_BUDGET, EnumerationBudgetError
 from .promise import DEFAULT_I_MAX, DEFAULT_J_MAX, FAMILIES, _check_bounds, spec_from_dict
-from .verify import separation_table, write_separation_csv
 from .words import dump_json, load_json
 
 EXIT_OK = 0
@@ -102,6 +101,8 @@ def cmd_run(args):
 
 
 def cmd_dfa(args):
+    from .dfa import build_min_dfa, claimed_size
+
     spec = _spec_from_args(args)
     d, formula = claimed_size(spec)
     # the table has d rows; the certificate budget bounds it as well
@@ -113,6 +114,8 @@ def cmd_dfa(args):
 
 
 def cmd_certify(args):
+    from .dfa import _certify
+
     _check_bounds(args.i_max, args.j_max)  # every family's, before any budget
     certificate = _certify(_spec_from_args(args), args.i_max, args.j_max, args.budget)
     if args.format == "json":
@@ -143,6 +146,8 @@ def _specs_from_data(data):
 
 
 def cmd_table(args):
+    from .verify import separation_table, write_separation_csv
+
     _check_bounds(args.i_max, args.j_max)  # `A` rows certify on their own bound
     with open(args.specs, encoding="utf-8") as handle:
         specs = load_json(handle.read(), "spec list", _specs_from_data)

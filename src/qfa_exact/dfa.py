@@ -13,8 +13,14 @@ from dataclasses import dataclass, field
 from itertools import chain, islice, product
 from math import lcm
 
-# all three are read off `dfa` too, so they stay bound here
-from .arith import smallest_modulus, smallest_modulus_alt, smallest_nondivisor
+# all five are read off `dfa` too, so they stay bound here
+from .arith import (
+    DEFAULT_ENUMERATION_BUDGET,
+    EnumerationBudgetError,
+    smallest_modulus,
+    smallest_modulus_alt,
+    smallest_nondivisor,
+)
 from .promise import (
     BinaryPromiseSpec,
     UnaryPromiseSpec,
@@ -25,12 +31,6 @@ from .promise import (
     spec_to_dict,
 )
 from .words import _STILL, _Lasso, as_alphabet, as_int, as_runs, dump_json, load_json, record_dict
-
-DEFAULT_ENUMERATION_BUDGET = 10**6
-
-
-class EnumerationBudgetError(RuntimeError):
-    """Raised when a certificate search would exceed its machine budget."""
 
 
 class _Table(tuple):

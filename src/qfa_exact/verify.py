@@ -8,7 +8,6 @@ the quantum-vs-DFA state-count table.
 
 import csv
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from .dfa import (
     DEFAULT_ENUMERATION_BUDGET,
@@ -34,7 +33,11 @@ from .promise import (
 )
 from .words import _STILL, _worst, as_runs, dump_json, record_dict
 
-if TYPE_CHECKING:  # the harness only calls a machine's methods; `moqfa` stays unloaded
+# typing.TYPE_CHECKING without loading `typing`: type checkers read this
+# name as true, and the harness only calls a machine's methods, so
+# `moqfa` stays unloaded
+TYPE_CHECKING = False
+if TYPE_CHECKING:
     from .moqfa import Moqfa
 
 DEFAULT_TOLERANCE = 1e-9

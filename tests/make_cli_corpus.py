@@ -32,13 +32,15 @@ def _flags(family, **values):
 
 
 # every family's size formula: unary offsets and residue pairs, `B`,
-# `BN`, prime and prime-power moduli, and a d past the budget (exit 5)
+# `BN`, prime and prime-power moduli, and a d past the budget (exit 5),
+# among them the semiprime 999999937 * 999999929
 DFA_SPECS = [
     _flags("A", N=7, l=3), _flags("A", N=16, l=8), _flags("A", N=12, l=9), _flags("A", N=36, l=6),
     _flags("A", N=15, l=5), _flags("A", N=7, r1=2, r2=5), _flags("A", N=12, r1=5, r2=1),
     _flags("B", l=1), _flags("B", l=4), _flags("B", l=12), _flags("B", l=60),
     _flags("BN", N=15, l=5), _flags("BN", N=12, l=5), _flags("BN", N=5, l=2), _flags("BN", N=16, l=4),
     _flags("A", N=1000000007, l=1), _flags("BN", N=1000003, l=1),
+    _flags("A", N=999999866000004473, l=1),
 ]
 
 # each case tag (small_l, mid at both edges 4l = N and 4l = 3N, large_l,
@@ -59,7 +61,7 @@ CERTIFY_SPECS = [
     _flags("A", N=16, l=8, i_max=0), _flags("BN", N=4, l=2, j_max=0), _flags("B", l=4, i_max=0, j_max=0),
     _flags("BN", N=4, l=2, i_max=1, j_max=0),
     _flags("A", N=31, l=7), _flags("BN", N=31, l=7), _flags("BN", N=5, l=2), _flags("B", l=12),
-    _flags("A", N=15013, l=1),
+    _flags("A", N=15013, l=1), _flags("A", N=999999866000004473, l=1),
 ]
 
 # exit 2: flags argparse refuses, specs the loader refuses, negative

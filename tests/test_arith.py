@@ -1,25 +1,21 @@
 """The integer arithmetic module: standard library only, one home for the
 size formulas, and an exact quadrant check of the angle multiplier."""
 
+from math import prod
+
 import pytest
 
 import qfa_exact
 from qfa_exact import arith, dfa, synth
-from test_lazy_imports import PACKAGE_ROOT, run_fresh
+from test_lazy_imports import run_fresh
 
 
 def test_arith_loads_no_other_package_module_and_no_numpy():
-    # a bare package object stands in for `qfa_exact`, whose __init__
-    # loads the classical side, so only what arith.py itself imports loads
     result = run_fresh(
-        "import sys, types\n"
-        "package = types.ModuleType('qfa_exact')\n"
-        "package.__path__ = [ROOT + '/qfa_exact']\n"
-        "sys.modules['qfa_exact'] = package\n"
+        "import sys\n"
         "import qfa_exact.arith\n"
         "print(sorted(name for name in sys.modules if name.startswith('qfa_exact')))\n"
-        "print('numpy' in sys.modules)",
-        ROOT=PACKAGE_ROOT,
+        "print('numpy' in sys.modules)"
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines() == ["['qfa_exact', 'qfa_exact.arith']", "False"]
@@ -44,3 +40,84 @@ def test_the_multiplier_lands_in_the_nonpositive_quadrant_in_integers():
             assert (selection.q, selection.case_tag) == (q, case), (N, l)
             checked += 1
     assert checked == 179_700
+
+
+# known factorizations: semiprimes and squares of primes near 10**9, the
+# strong pseudoprime to the prime bases up to 23, and Carmichael numbers
+# (6k+1)(12k+1)(18k+1) whose primes all lie past the trial-division limit
+FACTORED = [
+    (999999937, 999999929),
+    (1000000007, 1000000009),
+    (999999937, 999999937),
+    (1000000007, 1000000007),
+    (999999937, 999999937, 1009),
+    (149491, 747451, 34233211),
+    (1171, 2341, 3511),
+    (1237, 2473, 3709),
+    (1009, 1013),
+]
+SEMIPRIME = 999999937 * 999999929  # 999999866000004473
+
+
+def test_miller_rabin_agrees_with_a_sieve_and_refuses_pseudoprimes():
+    limit = 20000
+    sieve = bytearray([1]) * limit
+    sieve[:2] = b"\0\0"
+    for n in range(2, int(limit**0.5) + 1):
+        if sieve[n]:
+            sieve[n * n::n] = bytes(len(range(n * n, limit, n)))
+    assert [n for n in range(2, limit) if arith._is_prime(n)] == [n for n in range(limit) if sieve[n]]
+    carmichael = [561, 1105, 1729, 2465, 2821, 6601, 8911, 1171 * 2341 * 3511, 1237 * 2473 * 3709]
+    for n in carmichael:  # Korselt: squarefree, and p - 1 divides n - 1 for each p
+        assert all((n - 1) % (p - 1) == 0 for p in range(2, 4000) if n % p == 0 and arith._is_prime(p))
+    strong = [2047, 3215031751, 3825123056546413051, 318665857834031151167461]
+    for n in carmichael + strong:
+        assert not arith._is_prime(n), n
+    assert all(arith._is_prime(p) for p in (999999937, 999999929, 399165290221, 798330580441))
+    # psi_12, the least strong pseudoprime to every prime base up to 37
+    assert arith._prime_factors(318665857834031151167461) == {399165290221, 798330580441}
+
+
+def test_the_exact_bound_is_the_least_composite_that_passes_every_base():
+    # psi_13 = 1287836182261 * 2575672364521 is a strong pseudoprime to
+    # every base up to 41, so a rest this large stays on trial division
+    psi_13 = 1287836182261 * 2575672364521
+    assert arith._MILLER_RABIN_EXACT == psi_13
+    assert arith._is_prime(psi_13)
+    assert len(arith._MILLER_RABIN_BASES) == 13 and arith._MILLER_RABIN_BASES[-1] == 41
+
+
+def expected_smallest_modulus(factors, l):
+    """Smallest p^(v_p(l) + 1) dividing N = prod(factors), read off the
+    known factorization."""
+    N = prod(factors)
+    candidates = []
+    for p in set(factors):
+        power = p
+        while l % power == 0:
+            power *= p
+        if N % power == 0:
+            candidates.append(power)
+    return min(candidates)
+
+
+@pytest.mark.parametrize("factors", FACTORED)
+def test_smallest_modulus_splits_known_factorizations(factors):
+    N = prod(factors)
+    assert arith._prime_factors(N // prod(p for p in factors if p < arith._TRIAL_LIMIT)) == {
+        p for p in factors if p > arith._TRIAL_LIMIT}
+    offsets = {1, 2, N - 1} | {prod(factors[:k]) for k in range(1, len(factors))}
+    offsets |= {2 * factors[0], factors[0] ** 2, factors[-1] * 3}
+    for l in sorted(l for l in offsets if 0 < l < N):
+        assert arith.smallest_modulus(N, l) == expected_smallest_modulus(factors, l), (factors, l)
+
+
+def test_moduli_up_to_a_million_stay_on_trial_division(monkeypatch):
+    def refuse(n):
+        raise AssertionError(f"split {n} by rho")
+
+    monkeypatch.setattr(arith, "_prime_factors", refuse)
+    for N in (999983, 997 * 1003, 2 * 499979, 999 * 1000, 10**6):
+        for l in (1, 2, N // 2, N - 1):
+            expected = next(d for d in range(2, N + 1) if N % d == 0 and l % d)
+            assert arith.smallest_modulus(N, l) == expected, (N, l)

@@ -1,6 +1,7 @@
 import itertools
 import json
 import re
+import time
 from pathlib import Path
 
 import pytest
@@ -211,6 +212,19 @@ def test_certify_budget_exit_code(capsys):
     code, _, err = run_cli(capsys, "certify", "--family", "BN", "--N", "31", "--l", "7")
     assert code == 5
     assert "budget" in err
+
+
+@pytest.mark.parametrize("command,err", [
+    ("dfa", "a d=999999929-state DFA exceeds budget 1000000 states"),
+    ("certify", "candidate machines below d=999999929 states exceed budget 1000000"),
+])
+def test_a_semiprime_modulus_is_refused_at_once(capsys, command, err):
+    # N = 999999937 * 999999929: trial division toward its square root
+    # ran for minutes, factoring by rho takes milliseconds
+    start = time.perf_counter()
+    code, out, got = run_cli(capsys, command, "--family", "A", "--N", "999999866000004473", "--l", "1")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out, got) == (5, "", f"budget exceeded: {err}\n")
 
 
 def test_certify_counterexample_exit_code(capsys):

@@ -330,7 +330,7 @@ def test_smallest_modulus_matches_the_scan_up_to_2000():
 @pytest.mark.parametrize(
     "N,l,expected",
     [
-        (1000000007, 1, 1000000007),  # prime: trial division to its square root
+        (1000000007, 1, 1000000007),  # prime: Miller-Rabin past the trial-division limit
         (2**40, 2**39, 2**40),
         (3**25 * 7, 3**24, 7),  # the leftover prime beats the prime power 3^25
         (2 * 999999937, 2, 999999937),

@@ -1,13 +1,17 @@
-"""The package and every CLI command start without numpy.
+"""Each cold start loads only the modules its command runs, and none of
+them loads numpy.
 
-`moqfa` and `synth` load on first use of one of their names; importing
-the package or the CLI, and running the `dfa`, `certify` and `table`
-commands, never touch a matrix. `synth` and `run` evaluate machines in
-plain Python, and numpy loads only when an ndarray view of a machine is
-read. Each check runs in a fresh interpreter, since this test process
-has numpy loaded already.
+Importing the package loads none of its modules. Importing the CLI loads
+`arith`, `promise` and `words` beside it, and each command loads the
+module it runs: `synth` and `moqfa` for synth, `moqfa` for run, `dfa`
+for dfa and certify, `dfa` and `verify` for table. `synth` and `run`
+evaluate machines in plain Python, and numpy loads only when an ndarray
+view of a machine is read. Each check runs in a fresh interpreter: this
+test process has every module and numpy loaded already, so a command
+that forgot an import would still pass here.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -17,40 +21,96 @@ from pathlib import Path
 import pytest
 
 import qfa_exact
+from make_cli_corpus import COLUMNS, CORPUS, ROOT
+from qfa_exact import arith, cli, dfa, verify
 
 PACKAGE_ROOT = str(Path(qfa_exact.__file__).resolve().parent.parent)
+RECORDS = {tuple(record["argv"]): record for record in json.loads(CORPUS.read_text(encoding="utf-8"))}
 
-CLASSICAL_RUNS = {
-    "import": "import qfa_exact",
-    "import_cli": "import qfa_exact.cli",
-    "dfa": "from qfa_exact.cli import main; assert main(['dfa', '--family', 'BN', '--N', '12', '--l', '5']) == 0",
-    "dfa_general": "from qfa_exact.cli import main; "
-                   "assert main(['dfa', '--family', 'A', '--N', '7', '--r1', '2', '--r2', '5']) == 0",
-    "certify": "from qfa_exact.cli import main; assert main(['certify', '--family', 'B', '--l', '4']) == 0",
-    "table": "from qfa_exact.cli import main; assert main(['table', '--specs', SPECS]) == 0",
+CLI_MODULES = ("arith", "cli", "promise", "words")
+
+# run -> (corpus command line, or the code to run; the package modules it loads)
+COLD_RUNS = {
+    "import": ("import qfa_exact", ()),
+    "import_cli": ("import qfa_exact.cli", CLI_MODULES),
+    "synth": (["synth", "--family", "BN", "--N", "13", "--l", "5"], CLI_MODULES + ("moqfa", "synth")),
+    "run": (["run", "--machine", "tests/data/synth_B_l6.json", "aabb"], CLI_MODULES + ("moqfa",)),
+    "run_length": (["run", "--machine", "tests/data/synth_A_N8_r1_0_r2_2.json", "--length", "16"],
+                   CLI_MODULES + ("moqfa",)),
+    "dfa": (["dfa", "--family", "BN", "--N", "12", "--l", "5"], CLI_MODULES + ("dfa",)),
+    "dfa_general": (["dfa", "--family", "A", "--N", "7", "--r1", "2", "--r2", "5"], CLI_MODULES + ("dfa",)),
+    "certify": (["certify", "--family", "B", "--l", "4"], CLI_MODULES + ("dfa",)),
+    "certify_json": (["certify", "--family", "B", "--l", "4", "--format", "json"], CLI_MODULES + ("dfa",)),
+    "table": (["table", "--specs", "tests/data/table_specs.json"], CLI_MODULES + ("dfa", "verify")),
 }
 
+# a command line as the console script runs it, then the package
+# modules and whether numpy loaded, written to REPORT
+RUN_MAIN = """\
+import sys
+from qfa_exact.cli import main
+try:
+    code = main(ARGV)
+except SystemExit as exc:
+    code = exc.code
+"""
+REPORT_LOADED = """
+import sys
+sys.stdout.flush()
+with open(REPORT, "w") as handle:
+    handle.write(repr((sorted(name for name in sys.modules if name.startswith("qfa_exact")),
+                       "numpy" in sys.modules, "typing" in sys.modules)))
+"""
 
-def run_fresh(code, **names):
-    """Run `code` in a new interpreter, with each keyword bound as a str
-    global; returns the completed process."""
-    env = dict(os.environ)
+
+def run_fresh(code, *flags, **names):
+    """Run `code` in a new interpreter started with `flags`, from the
+    repository root with COLUMNS set as for the corpus, with each keyword
+    bound as a global; returns the completed process, its output
+    decoded with every byte kept (`table` ends its CSV lines in CRLF)."""
+    env = dict(os.environ, COLUMNS=COLUMNS)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (PACKAGE_ROOT, env.get("PYTHONPATH"))))
     prelude = "".join(f"{name} = {value!r}\n" for name, value in names.items())
-    return subprocess.run(
-        [sys.executable, "-c", prelude + code], capture_output=True, text=True, env=env, timeout=120
+    result = subprocess.run(
+        [sys.executable, *flags, "-c", prelude + code], capture_output=True, env=env, cwd=ROOT, timeout=120
     )
+    result.stdout, result.stderr = result.stdout.decode(), result.stderr.decode()
+    return result
 
 
-@pytest.mark.parametrize("run", sorted(CLASSICAL_RUNS))
-def test_classical_paths_never_import_numpy(run, tmp_path):
-    specs = tmp_path / "specs.json"
-    specs.write_text(json.dumps([{"family": "A", "N": 7, "r_yes": 0, "r_no": 3},
-                                 {"family": "B", "l": 4}, {"family": "BN", "N": 12, "l": 5}]))
-    code = CLASSICAL_RUNS[run] + "\nimport sys\nprint('numpy' in sys.modules)"
-    result = run_fresh(code, SPECS=str(specs))
+def run_cold(command, tmp_path, *flags):
+    """(process, package modules loaded, numpy loaded, typing loaded) of
+    one fresh run of `command`, a corpus argv or a line of code."""
+    report = tmp_path / "loaded.txt"
+    code = command if isinstance(command, str) else RUN_MAIN
+    code += REPORT_LOADED + ("" if isinstance(command, str) else "sys.exit(code)\n")
+    result = run_fresh(code, *flags, ARGV=command, REPORT=str(report))
+    assert report.exists(), result.stderr
+    return (result, *ast.literal_eval(report.read_text()))
+
+
+@pytest.mark.parametrize("run", sorted(COLD_RUNS))
+def test_a_cold_run_loads_only_its_modules_and_reprints_its_record(run, tmp_path):
+    command, modules = COLD_RUNS[run]
+    result, loaded, numpy_loaded, _ = run_cold(command, tmp_path)
+    assert loaded == sorted(["qfa_exact"] + [f"qfa_exact.{name}" for name in modules]), result.stderr
+    assert numpy_loaded is False
+    if isinstance(command, str):
+        assert (result.stdout, result.stderr, result.returncode) == ("", "", 0)
+    else:
+        record = RECORDS[tuple(command)]
+        assert record["exit"] == 0
+        assert (result.stdout, result.stderr, result.returncode) == (
+            record["stdout"], record["stderr"], record["exit"])
+
+
+def test_table_loads_no_typing_when_site_does_not(tmp_path):
+    # `site` may load `typing` through a .pth file; -S leaves it out, so
+    # only what the package and the command import shows
+    result, loaded, numpy_loaded, typing_loaded = run_cold(COLD_RUNS["table"][0], tmp_path, "-S")
     assert result.returncode == 0, result.stderr
-    assert result.stdout.splitlines()[-1] == "False"
+    assert "qfa_exact.verify" in loaded
+    assert (numpy_loaded, typing_loaded) == (False, False)
 
 
 def test_machine_commands_start_without_numpy(tmp_path):
@@ -84,25 +144,28 @@ def test_star_import_binds_every_public_name():
     assert result.stdout.strip() == "[]"
 
 
-def test_lazy_names_are_the_submodule_objects():
-    from qfa_exact import moqfa, synth
-
-    assert qfa_exact.Moqfa is moqfa.Moqfa
-    assert qfa_exact.AngleSpec is moqfa.AngleSpec
-    for name in ("AngleSelection", "LiftParameters", "build_binary_Nl", "build_binary_l",
-                 "build_unary", "build_unary_general", "lift_parameters", "select_angle"):
-        assert getattr(qfa_exact, name) is getattr(synth, name), name
+def test_every_public_name_is_the_object_of_its_defining_module():
+    assert qfa_exact.__all__ == sorted(qfa_exact._LAZY)
+    for name in qfa_exact.__all__:
+        value = getattr(qfa_exact, name)
+        assert value.__module__ == f"qfa_exact.{qfa_exact._LAZY[name]}", name
+        assert value is getattr(sys.modules[value.__module__], name), name
 
 
-def test_dir_lists_every_public_name_and_the_lazy_submodules():
+def test_the_budget_and_its_error_are_one_object_under_every_name():
+    assert qfa_exact.EnumerationBudgetError is arith.EnumerationBudgetError
+    for module in (dfa, verify, cli):
+        assert module.EnumerationBudgetError is arith.EnumerationBudgetError, module.__name__
+        assert module.DEFAULT_ENUMERATION_BUDGET is arith.DEFAULT_ENUMERATION_BUDGET, module.__name__
+
+
+def test_dir_lists_every_public_name_and_every_submodule():
     listed = set(dir(qfa_exact))
     assert set(qfa_exact.__all__) <= listed
-    assert {"moqfa", "synth"} <= listed
+    assert {"arith", "dfa", "moqfa", "promise", "synth", "verify", "words"} <= listed
 
 
 def test_unknown_names_still_raise_attribute_error():
-    import qfa_exact.cli
-
     for module in (qfa_exact, qfa_exact.cli):
         with pytest.raises(AttributeError):
             module.no_such_name  # noqa: B018
@@ -112,7 +175,10 @@ def test_unknown_names_still_raise_attribute_error():
 def test_submodules_resolve_after_a_bare_package_import():
     result = run_fresh(
         "import qfa_exact\n"
-        "print(qfa_exact.synth.build_unary(7, 3).dim, qfa_exact.moqfa.Moqfa.__name__)"
+        "print(qfa_exact.synth.build_unary(7, 3).dim, qfa_exact.moqfa.Moqfa.__name__)\n"
+        "print(*(getattr(qfa_exact, name).__name__ for name in "
+        "('arith', 'dfa', 'promise', 'verify', 'words')))"
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.splitlines() == ["3 Moqfa"]
+    assert result.stdout.splitlines() == [
+        "3 Moqfa", "qfa_exact.arith qfa_exact.dfa qfa_exact.promise qfa_exact.verify qfa_exact.words"]
