@@ -14,14 +14,20 @@ both live here so that the CLI can name them without loading `dfa`.
 """
 
 from functools import lru_cache
-from itertools import count
-from math import gcd
 
 DEFAULT_ENUMERATION_BUDGET = 10**6
 
 
 class EnumerationBudgetError(RuntimeError):
     """Raised when a certificate search would exceed its machine budget."""
+
+
+# every N <= 10**6 is done before trial division passes this limit
+_TRIAL_LIMIT = 1000
+# `primes.prime_factors` is exact below this bound, the least strong
+# pseudoprime to its 13 Miller-Rabin bases, so no answer rests on a
+# probable prime
+_MILLER_RABIN_EXACT = 3_317_044_064_679_887_385_961_981
 
 
 def smallest_modulus(N: int, l: int) -> int:
@@ -33,9 +39,8 @@ def smallest_modulus(N: int, l: int) -> int:
     or once p^2 passes what is left of N, which is then 1 or a prime P
     with P^2 not dividing N, a candidate exactly when P does not divide l.
     Past p = _TRIAL_LIMIT, what is left of N is split into its primes by
-    `_prime_factors` instead, if it lies below _MILLER_RABIN_EXACT; a
-    larger rest stays on trial division. Every N <= 10**6 is done before
-    p passes the limit.
+    `primes.prime_factors` instead, if it lies below _MILLER_RABIN_EXACT;
+    a larger rest stays on trial division.
     """
     if not 0 < l < N:
         raise ValueError(f"need 0 < l < N, got l={l}, N={N}")
@@ -43,8 +48,15 @@ def smallest_modulus(N: int, l: int) -> int:
     p = 2
     while p * p <= rest and p < best:
         if p > _TRIAL_LIMIT and rest < _MILLER_RABIN_EXACT:
-            powers = [_power_past(l, prime) for prime in _prime_factors(rest)]
-            return min([best] + [power for power in powers if N % power == 0])
+            from .primes import prime_factors  # compiled only for a modulus that needs it
+
+            for prime in prime_factors(rest):
+                power = prime
+                while l % power == 0:
+                    power *= prime
+                if N % power == 0:
+                    best = min(best, power)
+            return best
         if rest % p == 0:
             power = p
             while l % power == 0:
@@ -57,84 +69,6 @@ def smallest_modulus(N: int, l: int) -> int:
     if 1 < rest < best and l % rest:
         best = rest
     return best
-
-
-def _power_past(l: int, p: int) -> int:
-    """p^(v_p(l) + 1), the smallest power of p that does not divide l."""
-    power = p
-    while l % power == 0:
-        power *= p
-    return power
-
-
-_TRIAL_LIMIT = 1000
-_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-# below this bound the bases above decide primality exactly (Sorenson and
-# Webster, Math. Comp. 86, 2017), so no answer rests on a probable prime
-_MILLER_RABIN_EXACT = 3_317_044_064_679_887_385_961_981
-_RHO_BATCH = 128  # differences multiplied together per gcd
-
-
-def _is_prime(n: int) -> bool:
-    """Whether n > 1 is prime, by Miller-Rabin on the 13 prime bases up
-    to 41; exact for n < _MILLER_RABIN_EXACT."""
-    if n in _MILLER_RABIN_BASES:
-        return True
-    if any(n % base == 0 for base in _MILLER_RABIN_BASES):
-        return False
-    odd, twos = n - 1, 0
-    while odd % 2 == 0:
-        odd //= 2
-        twos += 1
-    for base in _MILLER_RABIN_BASES:
-        x = pow(base, odd, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(twos - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _rho_divisor(n: int) -> int:
-    """A divisor 1 < g < n of a composite n: Pollard's rho walk
-    y -> y^2 + c mod n with Brent's cycle search (Brent, BIT 20, 1980),
-    which takes one gcd per _RHO_BATCH steps, steps back one at a time
-    when a batch closes on n, and starts over with the next c when a
-    walk finds no proper divisor."""
-    for c in count(1):
-        y, r, q, g = 2, 1, 1, 1
-        while g == 1:
-            x = y
-            for _ in range(r):
-                y = (y * y + c) % n
-            k = 0
-            while k < r and g == 1:
-                ys = y
-                for _ in range(min(_RHO_BATCH, r - k)):
-                    y = (y * y + c) % n
-                    q = q * abs(x - y) % n
-                g = gcd(q, n)
-                k += _RHO_BATCH
-            r *= 2
-        if g == n:
-            g = 1
-            while g == 1:
-                ys = (ys * ys + c) % n
-                g = gcd(abs(x - ys), n)
-        if g != n:
-            return g
-
-
-def _prime_factors(n: int) -> set[int]:
-    """The distinct prime factors of 1 < n < _MILLER_RABIN_EXACT."""
-    if _is_prime(n):
-        return {n}
-    g = _rho_divisor(n)
-    return _prime_factors(g) | _prime_factors(n // g)
 
 
 def smallest_nondivisor(l: int) -> int:

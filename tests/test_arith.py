@@ -6,19 +6,27 @@ from math import prod
 import pytest
 
 import qfa_exact
-from qfa_exact import arith, dfa, synth
+from qfa_exact import arith, dfa, primes, synth
 from test_lazy_imports import run_fresh
 
 
 def test_arith_loads_no_other_package_module_and_no_numpy():
+    # `primes` loads only when a modulus leaves a rest past trial division
     result = run_fresh(
         "import sys\n"
         "import qfa_exact.arith\n"
-        "print(sorted(name for name in sys.modules if name.startswith('qfa_exact')))\n"
-        "print('numpy' in sys.modules)"
+        "loaded = lambda: sorted(name for name in sys.modules if name.startswith('qfa_exact'))\n"
+        "print(loaded(), qfa_exact.arith.smallest_modulus(10**6, 1), loaded())\n"
+        "print(qfa_exact.arith.smallest_modulus(SEMIPRIME, 1), loaded())\n"
+        "print('numpy' in sys.modules)",
+        SEMIPRIME=SEMIPRIME,
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.splitlines() == ["['qfa_exact', 'qfa_exact.arith']", "False"]
+    assert result.stdout.splitlines() == [
+        "['qfa_exact', 'qfa_exact.arith'] 2 ['qfa_exact', 'qfa_exact.arith']",
+        "999999929 ['qfa_exact', 'qfa_exact.arith', 'qfa_exact.primes']",
+        "False",
+    ]
 
 
 @pytest.mark.parametrize("name", ["smallest_modulus", "smallest_modulus_alt", "smallest_nondivisor"])
@@ -66,16 +74,16 @@ def test_miller_rabin_agrees_with_a_sieve_and_refuses_pseudoprimes():
     for n in range(2, int(limit**0.5) + 1):
         if sieve[n]:
             sieve[n * n::n] = bytes(len(range(n * n, limit, n)))
-    assert [n for n in range(2, limit) if arith._is_prime(n)] == [n for n in range(limit) if sieve[n]]
+    assert [n for n in range(2, limit) if primes.is_prime(n)] == [n for n in range(limit) if sieve[n]]
     carmichael = [561, 1105, 1729, 2465, 2821, 6601, 8911, 1171 * 2341 * 3511, 1237 * 2473 * 3709]
     for n in carmichael:  # Korselt: squarefree, and p - 1 divides n - 1 for each p
-        assert all((n - 1) % (p - 1) == 0 for p in range(2, 4000) if n % p == 0 and arith._is_prime(p))
+        assert all((n - 1) % (p - 1) == 0 for p in range(2, 4000) if n % p == 0 and primes.is_prime(p))
     strong = [2047, 3215031751, 3825123056546413051, 318665857834031151167461]
     for n in carmichael + strong:
-        assert not arith._is_prime(n), n
-    assert all(arith._is_prime(p) for p in (999999937, 999999929, 399165290221, 798330580441))
+        assert not primes.is_prime(n), n
+    assert all(primes.is_prime(p) for p in (999999937, 999999929, 399165290221, 798330580441))
     # psi_12, the least strong pseudoprime to every prime base up to 37
-    assert arith._prime_factors(318665857834031151167461) == {399165290221, 798330580441}
+    assert primes.prime_factors(318665857834031151167461) == {399165290221, 798330580441}
 
 
 def test_the_exact_bound_is_the_least_composite_that_passes_every_base():
@@ -83,8 +91,8 @@ def test_the_exact_bound_is_the_least_composite_that_passes_every_base():
     # every base up to 41, so a rest this large stays on trial division
     psi_13 = 1287836182261 * 2575672364521
     assert arith._MILLER_RABIN_EXACT == psi_13
-    assert arith._is_prime(psi_13)
-    assert len(arith._MILLER_RABIN_BASES) == 13 and arith._MILLER_RABIN_BASES[-1] == 41
+    assert primes.is_prime(psi_13)
+    assert len(primes._BASES) == 13 and primes._BASES[-1] == 41
 
 
 def expected_smallest_modulus(factors, l):
@@ -104,7 +112,7 @@ def expected_smallest_modulus(factors, l):
 @pytest.mark.parametrize("factors", FACTORED)
 def test_smallest_modulus_splits_known_factorizations(factors):
     N = prod(factors)
-    assert arith._prime_factors(N // prod(p for p in factors if p < arith._TRIAL_LIMIT)) == {
+    assert primes.prime_factors(N // prod(p for p in factors if p < arith._TRIAL_LIMIT)) == {
         p for p in factors if p > arith._TRIAL_LIMIT}
     offsets = {1, 2, N - 1} | {prod(factors[:k]) for k in range(1, len(factors))}
     offsets |= {2 * factors[0], factors[0] ** 2, factors[-1] * 3}
@@ -116,7 +124,7 @@ def test_moduli_up_to_a_million_stay_on_trial_division(monkeypatch):
     def refuse(n):
         raise AssertionError(f"split {n} by rho")
 
-    monkeypatch.setattr(arith, "_prime_factors", refuse)
+    monkeypatch.setattr(primes, "prime_factors", refuse)
     for N in (999983, 997 * 1003, 2 * 499979, 999 * 1000, 10**6):
         for l in (1, 2, N // 2, N - 1):
             expected = next(d for d in range(2, N + 1) if N % d == 0 and l % d)
