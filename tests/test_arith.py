@@ -63,6 +63,11 @@ FACTORED = [
     (1171, 2341, 3511),
     (1237, 2473, 3709),
     (1009, 1013),
+    # rho's first walk overshoots and steps back (1009 * 1049), then
+    # also closes on n and starts over (1009 * 1709, 1013 * 1109)
+    (1009, 1049),
+    (1009, 1709),
+    (1013, 1109),
 ]
 SEMIPRIME = 999999937 * 999999929  # 999999866000004473
 
