@@ -22,6 +22,8 @@ from .arith import (
     smallest_nondivisor,
 )
 from .promise import (
+    DEFAULT_I_MAX,
+    DEFAULT_J_MAX,
     BinaryPromiseSpec,
     UnaryPromiseSpec,
     _check_bounds,
@@ -514,8 +516,8 @@ def _judged_sizes(d: int, length: int, lanes):
 
 def certify_minimality_binary(
     spec: BinaryPromiseSpec,
-    i_max: int = 64,
-    j_max: int = 8,
+    i_max: int = DEFAULT_I_MAX,
+    j_max: int = DEFAULT_J_MAX,
     budget: int = DEFAULT_ENUMERATION_BUDGET,
 ) -> MinimalityCertificate:
     """Certify the binary size formulas by full enumeration: every

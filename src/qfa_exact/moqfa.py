@@ -244,6 +244,9 @@ class Moqfa:
     def __post_init__(self):
         object.__setattr__(self, "alphabet", tuple(self.alphabet))
         object.__setattr__(self, "accepting", frozenset(self.accepting))
+        # the machine starts in basis state 0, so it needs one state
+        if isinstance(self.dim, int) and self.dim < 1:
+            raise ValueError(f"dim must be at least 1, not {self.dim}")
         if not hasattr(self._u_sym, "items"):
             raise ValueError("per-symbol matrices must map each symbol to its matrix")
         # no ndarray view exists yet

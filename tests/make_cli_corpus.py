@@ -53,7 +53,8 @@ SYNTH_SPECS = [
     _flags("BN", N=13, l=5), _flags("BN", N=13, l=10), _flags("BN", N=12, l=2), _flags("BN", N=997, l=1),
 ] + [_flags("A", N=N, l=l) for N in range(2, 10) for l in range(1, N)]
 
-# certified runs, counterexamples (exit 4) and budget refusals (exit 5)
+# certified runs, with bounds up to 10**12 and budgets up to 5000000,
+# counterexamples (exit 4) and budget refusals (exit 5)
 CERTIFY_SPECS = [
     _flags("A", N=7, l=3), _flags("A", N=13, l=1), _flags("A", N=7, r1=2, r2=5), _flags("A", N=12, l=9),
     _flags("B", l=1), _flags("B", l=4), _flags("BN", N=12, l=5), _flags("BN", N=4, l=2, j_max=1),
@@ -62,11 +63,15 @@ CERTIFY_SPECS = [
     _flags("BN", N=4, l=2, i_max=1, j_max=0),
     _flags("A", N=31, l=7), _flags("BN", N=31, l=7), _flags("BN", N=5, l=2), _flags("B", l=12),
     _flags("A", N=15013, l=1), _flags("A", N=999999866000004473, l=1),
+    _flags("B", l=12, budget=5000000), _flags("BN", N=5, l=2, j_max=0, budget=5000000),
+    _flags("BN", N=4, l=2, i_max=10**12, j_max=10**12), _flags("A", N=7, l=3, i_max=10**12),
+    _flags("A", N=1000000007, l=1),
 ]
 
 # exit 2: flags argparse refuses, specs the loader refuses, negative
-# bounds and budgets, missing spec and machine files, a malformed
-# machine file and a machine that drifts from unitarity
+# bounds and budgets (also on an empty spec list), missing spec and
+# machine files, a malformed machine file, a machine that drifts from
+# unitarity and one with no states
 USAGE_ERRORS = [
     ["certify", "--family", "B", "--l", "x"],
     ["certify", "--family", "B", "--l", "4", "--bogus"],
@@ -82,10 +87,12 @@ USAGE_ERRORS = [
     ["certify", *_flags("B", l=4, budget=-1)],
     ["table", "--specs", SPECS, "--budget", "-1"],
     ["table", "--specs", SPECS, "--j-max", "-1"],
+    ["table", "--specs", "tests/data/empty_specs.json", "--budget", "-1"],
     ["table", "--specs", "tests/data/no_such_specs.json"],
     ["run", "--machine", "tests/data/no_such_machine.json", "ab"],
     ["run", "--machine", "tests/data/malformed_machine.json", "--length", "3"],
     ["run", "--machine", "tests/data/drifting_machine.json", "--length", "1000000000005"],
+    ["run", "--machine", "tests/data/zero_state_machine.json", "--length", "5"],
 ]
 
 # the help of the top parser and of each subcommand (exit 0), which
@@ -101,6 +108,8 @@ COMMANDS = (
     + [["table", "--specs", SPECS, *flags] for flags in ([], ["--budget", "0"], ["--i-max", "0"])]
     + [["run", "--machine", "tests/data/synth_B_l6.json", word] for word in ("aabb", "bbbbbb")]
     + [["run", "--machine", "tests/data/synth_A_N8_r1_0_r2_2.json", "--length", n] for n in ("16", "10")]
+    + [["run", "--machine", "tests/data/synth_BN_N13_l5.json", word] for word in ("aabb", "aabbbbbbb")]
+    + [["run", "--machine", "tests/data/synth_A_N1000000000001_l1000000000000.json", "--length", "1000000000001"]]
     + USAGE_ERRORS
     + HELP
 )

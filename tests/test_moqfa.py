@@ -241,6 +241,23 @@ def test_moqfa_construction_validation():
     with pytest.raises(ValueError):
         Moqfa(dim=2, alphabet=("a",), u_left=np.eye(2), u_sym={"a": np.eye(2)},
               u_right=np.eye(2), accepting={0, 5})
+    with pytest.raises(ValueError, match="^per-symbol matrices must map each symbol to its matrix$"):
+        Moqfa(dim=2, alphabet=("a",), u_left=np.eye(2), u_sym=[np.eye(2)], u_right=np.eye(2), accepting={0})
+    # a dim that is not an int fails on its matrices
+    with pytest.raises(ValueError, match="^matrix 'lmark' must be a 2x2 array of numbers$"):
+        Moqfa(dim="2", alphabet=("a",), u_left=np.eye(2), u_sym={"a": np.eye(2)}, u_right=np.eye(2), accepting={0})
+
+
+@pytest.mark.parametrize("angle", [None, AngleSpec(1, 4)], ids=["no_angle", "angle"])
+def test_a_machine_with_no_states_is_refused(angle):
+    # a machine starts in basis state 0, which a machine with no states lacks
+    for dim in (0, -1):
+        with pytest.raises(ValueError, match=f"^dim must be at least 1, not {dim}$"):
+            Moqfa(dim=dim, alphabet=("a",), u_left=[], u_sym={"a": []}, u_right=[], accepting=set(), angle=angle)
+    data = json.loads((DATA / "zero_state_machine.json").read_text(encoding="utf-8"))
+    data["angle"] = None if angle is None else {"q": angle.q, "D": angle.D}
+    with pytest.raises(ValueError, match="^dim must be at least 1, not 0$"):
+        Moqfa.from_dict(data)
 
 
 def test_replace_starts_with_an_empty_power_memo():
@@ -317,6 +334,10 @@ def test_loading_rejects_non_orthogonal_matrices(entry):
     raw["matrices"]["lmark"][1][1] += entry
     with pytest.raises(ValueError, match="orthogonal"):
         Moqfa.from_dict(raw)
+    four_states = _mixing_machine(4, None).to_dict()
+    four_states["matrices"]["a"][0][1] += entry
+    with pytest.raises(ValueError, match="orthogonal"):
+        Moqfa.from_dict(four_states)
 
 
 @pytest.mark.parametrize(
@@ -437,6 +458,40 @@ def test_check_orthogonality_equals_the_generic_gram_on_random_matrices(dim):
         if entry is not None:
             assert math.isnan(worst) if math.isnan(entry) else not math.isfinite(worst)
     assert closed_form >= 200
+
+
+def _mixing_machine(dim, angle):
+    """A `dim`-state machine, dim 1 or >= 2, with orthogonal markers and
+    one symbol of period `angle.D` (turned by `angle`, or by 2*pi/7
+    without one). Past two states the markers turn every pair of axes,
+    so their Gram entries carry round-off."""
+    if dim == 1:
+        return Moqfa(dim=1, alphabet=("a",), u_left=[[1.0]], u_sym={"a": [[-1.0]]}, u_right=[[-1.0]],
+                     accepting={0}, angle=angle)
+    shift = [[float(j == (i + 1) % dim) for j in range(dim)] for i in range(dim)]
+    rotation = u_left = turn(dim, math.cos(1.0), math.sin(1.0))
+    for _ in range(dim):
+        u_left = matmul(rotation, matmul(shift, u_left))
+    u_right = matmul(shift, u_left)
+    u_sym = turn(dim, *(angle or AngleSpec(1, 7)).cos_sin(1))
+    return Moqfa(dim=dim, alphabet=("a",), u_left=u_left, u_sym={"a": u_sym}, u_right=u_right,
+                 accepting={0}, angle=angle)
+
+
+@pytest.mark.parametrize(
+    "dim,angle", [(1, None), (1, AngleSpec(1, 2)), (4, None), (4, AngleSpec(2, 7))],
+    ids=["1_state", "1_state_angle", "4_state", "4_state_angle"],
+)
+def test_check_orthogonality_of_one_and_four_state_machines_equals_the_generic_gram(dim, angle):
+    """Past three states, and at one, each Gram entry takes the generic
+    formula: loaded machines agree with it by repr, on the closed form
+    (4 states with an angle) and off it."""
+    machine = Moqfa.from_dict(_mixing_machine(dim, angle).to_dict())
+    assert (machine._turns is not None) == (dim == 4 and angle is not None)
+    assert (machine.check_orthogonality() > 0) == (dim == 4)
+    for m in (machine._u_left, machine._u_sym["a"], machine._u_right):
+        assert list(map(repr, _gram_off_identity(m))) == list(map(repr, reference_gram(m)))
+    assert repr(machine.check_orthogonality()) == repr(reference_orthogonality(machine))
 
 
 def test_a_built_machine_has_no_class_lasso_along_its_witness_lines():

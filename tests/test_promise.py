@@ -286,6 +286,7 @@ def test_materialize_and_word_length_check_runs_as_as_runs_does(word, message):
 def test_materialize_and_length():
     assert materialize((("a", 2), ("b", 1))) == "aab"
     assert materialize(3) == "aaa"
+    assert materialize("ab") == "ab"
     assert word_length((("a", 2), ("b", 6))) == 8
     assert word_length("abab") == 4
     assert word_length(10**9) == 10**9
